@@ -15,7 +15,7 @@ the functional mirror of the paper's dense limb batching (§IV-A/B).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -140,15 +140,28 @@ class Evaluator:
             d2 = a.c1 * b.c1
             _temit("tensor_product", rows=a.level + 1, reads=(a, b),
                    writes=(d0, d1, d2), scale=a.scale * b.scale)
-            ks0, ks1 = keyswitch(d2, keys.relin, self.p_moduli)
-            c0 = d0 + ks0
-            c1 = d1 + ks1
-            _temit("modadd", rows=a.level + 1, reads=(d0, ks0), writes=(c0,),
-                   scale=a.scale * b.scale)
-            _temit("modadd", rows=a.level + 1, reads=(d1, ks1), writes=(c1,),
-                   scale=a.scale * b.scale)
+            c0, c1 = self.relinearize(d0, d1, d2, keys,
+                                      scale=a.scale * b.scale)
             ct = Ciphertext(c0, c1, a.level, a.scale * b.scale)
             return self.rescale(ct) if rescale else ct
+
+    def relinearize(self, d0: RnsPoly, d1: RnsPoly, d2: RnsPoly,
+                    keys: KeySet, *, scale: float = None,
+                    ) -> Tuple[RnsPoly, RnsPoly]:
+        """Fold the degree-2 term of ``(d0, d1, d2)`` back into a pair.
+
+        KeySwitch(``d2``) followed by the combine into ``(d0, d1)`` — the
+        11-launch PE KeySwitch of Table IX. ``scale`` only tags the trace.
+        """
+        ks0, ks1 = keyswitch(d2, keys.relin, self.p_moduli)
+        c0 = d0 + ks0
+        c1 = d1 + ks1
+        rows = d0.num_primes
+        _temit("modadd", rows=rows, reads=(d0, ks0), writes=(c0,),
+               scale=scale)
+        _temit("modadd", rows=rows, reads=(d1, ks1), writes=(c1,),
+               scale=scale)
+        return c0, c1
 
     def square(self, ct: Ciphertext, keys: KeySet, *,
                rescale: bool = True) -> Ciphertext:

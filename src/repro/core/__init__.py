@@ -2,8 +2,8 @@
 
 - :mod:`.ntt_engine` — WarpDrive-NTT and its five variants (§IV-A/B);
 - :mod:`.warp_allocation` — tensor/CUDA warp co-scheduling (§IV-B-3);
-- :mod:`.pe_kernel` — parallelism-enhanced ciphertext-level kernels (§IV-C);
-- :mod:`.scheduler` — homomorphic-operation lowering to kernel plans;
+- :mod:`.scheduler` — homomorphic-operation lowering to parallelism-enhanced
+  (PE) ciphertext-level kernel plans (§IV-C);
 - :mod:`.framework` — the §IV-D runtime facade;
 - :mod:`.memory_pool` / :mod:`.kernels` / :mod:`.costs` — supporting
   pieces (S_max pool, kernel builders, instruction-cost model).
@@ -19,7 +19,6 @@ from .ntt_engine import (
     batched_rns_forward,
     batched_rns_inverse,
 )
-from .pe_kernel import PeKeySwitchPlan
 from .scheduler import HOMOMORPHIC_OPS, OperationScheduler
 from .warp_allocation import (
     WarpAllocation,
@@ -36,7 +35,6 @@ __all__ = [
     "MemoryPool",
     "NttWorkCounts",
     "OperationScheduler",
-    "PeKeySwitchPlan",
     "VARIANTS",
     "batched_rns_forward",
     "batched_rns_inverse",

@@ -1,15 +1,18 @@
 """Lowering of homomorphic operations to WarpDrive kernel plans.
 
-Each homomorphic operation of §II-A becomes a short list of PE kernels
-(one launch per pipeline stage, every launch covering the whole
-ciphertext). The plans are priced by the GPU simulator; the functional
-layer (:mod:`repro.ckks`) proves the same pipelines numerically.
+Each homomorphic operation of §II-A is run once on the functional layer
+(:mod:`repro.ckks`) under :mod:`repro.trace`, on a proxy ring that shares
+the parameter set's modulus chain, and the recording is lowered PE-style
+(§IV-C): one launch per pipeline stage, every launch covering the whole
+ciphertext. A plan therefore prices exactly the stages the functional op
+runs. Recordings are cached per (chain structure, op, level).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from ..ckks.context import CkksContext
 from ..ckks.params import CkksParams
 from ..gpusim import (
     A100_PCIE_80G,
@@ -18,13 +21,71 @@ from ..gpusim import (
     KernelSpec,
     run_serial,
 )
-from . import kernels as K
+from ..trace.ir import OpTrace
+from ..trace.recorder import record
 from .kernels import DEFAULT_GEOMETRY, GeometryConfig
 from .ntt_engine import WarpDriveNtt
-from .pe_kernel import PeKeySwitchPlan
 
 HOMOMORPHIC_OPS = ("hadd", "hsub", "pmult", "hmult", "hrotate", "rescale",
                    "keyswitch")
+
+#: log2 ring degree of the per-op proxy recordings.
+PROXY_LOG2N = 8
+
+#: (chain key, op, level) -> recorded OpTrace.
+_op_traces: Dict[tuple, OpTrace] = {}
+#: chain key -> (CkksContext, KeySet, top-level Ciphertext) on the proxy
+#: ring.
+_proxy_contexts: Dict[tuple, tuple] = {}
+
+
+def record_op(params: CkksParams, op: str, level: int) -> OpTrace:
+    """Record one functional ``op`` at ``level`` on the proxy ring.
+
+    The recorded "keyswitch" is :meth:`~repro.ckks.ops.Evaluator.relinearize`
+    — KeySwitch plus the fold into a ciphertext. Raises ``ValueError`` for
+    an unknown op or a level outside the chain; an op the functional layer
+    rejects at that level (RESCALE at level 0) raises its own error.
+    """
+    from ..trace.lowering import chain_key, proxy_params_for
+
+    if op not in HOMOMORPHIC_OPS:
+        raise ValueError(
+            f"unknown operation {op!r}; one of {HOMOMORPHIC_OPS}"
+        )
+    if not 0 <= level <= params.max_level:
+        raise ValueError(
+            f"level {level} out of range [0, {params.max_level}]"
+        )
+    key = (chain_key(params), op, level)
+    trace = _op_traces.get(key)
+    if trace is not None:
+        return trace
+
+    proxy = proxy_params_for(params, PROXY_LOG2N)
+    cached = _proxy_contexts.get(key[0])
+    if cached is None:
+        ctx = CkksContext.create(proxy, seed=0)
+        keys = ctx.keygen(rotations=[1])
+        cached = (ctx, keys, ctx.encrypt([0.5, -0.25], keys))
+        _proxy_contexts[key[0]] = cached
+    ctx, keys, top = cached
+    ev = ctx.evaluator
+    ct = ev.level_down(top, level)
+    pt = ctx.encode([0.5], level=level)
+    run = {
+        "hadd": lambda: ev.hadd(ct, ct),
+        "hsub": lambda: ev.hsub(ct, ct),
+        "pmult": lambda: ev.pmult(ct, pt),
+        "hmult": lambda: ev.hmult(ct, ct, keys),
+        "hrotate": lambda: ev.hrotate(ct, 1, keys),
+        "rescale": lambda: ev.rescale(ct),
+        "keyswitch": lambda: ev.relinearize(ct.c0, ct.c1, ct.c1, keys),
+    }[op]
+    with record(op, params=proxy) as rec:
+        run()
+    _op_traces[key] = rec.trace
+    return rec.trace
 
 
 class OperationScheduler:
@@ -45,21 +106,15 @@ class OperationScheduler:
 
     def plan(self, op: str, *, level: int = None,
              batch: int = 1) -> List[KernelSpec]:
+        """The PE launches of ``op`` at ``level`` for ``batch`` ciphertexts."""
+        from ..trace.lowering import lower_trace
+
         level = self.params.max_level if level is None else level
-        builder = {
-            "hadd": self._plan_hadd,
-            "hsub": self._plan_hadd,
-            "pmult": self._plan_pmult,
-            "hmult": self._plan_hmult,
-            "hrotate": self._plan_hrotate,
-            "rescale": self._plan_rescale,
-            "keyswitch": self._plan_keyswitch,
-        }.get(op)
-        if builder is None:
-            raise ValueError(
-                f"unknown operation {op!r}; one of {HOMOMORPHIC_OPS}"
-            )
-        return builder(level, batch)
+        return lower_trace(
+            record_op(self.params, op, level), params=self.params,
+            style="pe", device=self.device, ntt_variant=self.ntt.variant,
+            geometry=self.geometry, batch=batch,
+        ).specs
 
     def simulate(self, op: str, *, level: int = None,
                  batch: int = 1) -> ExecutionResult:
@@ -77,77 +132,6 @@ class OperationScheduler:
 
     def kernel_count(self, op: str, *, level: int = None) -> int:
         return len(self.plan(op, level=level))
-
-    # -- per-op builders -----------------------------------------------------------
-
-    def _elements(self, level: int, batch: int, polys: int = 2) -> int:
-        return self.params.n * (level + 1) * batch * polys
-
-    def _plan_hadd(self, level: int, batch: int) -> List[KernelSpec]:
-        # One PE kernel adds both polynomials of both operands.
-        return [
-            K.modadd_kernel(
-                "hadd", self._elements(level, batch), geometry=self.geometry
-            )
-        ]
-
-    def _plan_pmult(self, level: int, batch: int) -> List[KernelSpec]:
-        # ct (2 polys) x pt (1 poly), eval domain: one Hadamard kernel.
-        return [
-            K.modmul_kernel(
-                "pmult", self._elements(level, batch),
-                geometry=self.geometry,
-            )
-        ]
-
-    def _plan_keyswitch(self, level: int, batch: int) -> List[KernelSpec]:
-        return PeKeySwitchPlan(
-            self.params, level, ntt=self.ntt, geometry=self.geometry,
-            batch=batch,
-        ).kernels()
-
-    def _plan_hmult(self, level: int, batch: int) -> List[KernelSpec]:
-        # Tensor products d0, d1, d2 in one PE kernel (reads both
-        # ciphertexts once), then KeySwitch(d2) and the rescale.
-        n_elems = self._elements(level, batch, polys=1)
-        plan = [
-            K.elementwise_kernel(
-                "hmult.tensor_product", n_elems,
-                ops_per_element=4 * 7 + 2 * 2,  # 4 products, 2 adds
-                read_words=4, write_words=3, geometry=self.geometry,
-            )
-        ]
-        plan += self._plan_keyswitch(level, batch)
-        plan += self._plan_rescale(level, batch)
-        return plan
-
-    def _plan_hrotate(self, level: int, batch: int) -> List[KernelSpec]:
-        plan = [
-            K.automorphism_kernel(
-                "hrotate.automorphism", self.params.n, level + 1,
-                polys=2 * batch, geometry=self.geometry,
-            )
-        ]
-        plan += self._plan_keyswitch(level, batch)
-        return plan
-
-    def _plan_rescale(self, level: int, batch: int) -> List[KernelSpec]:
-        # INTT both polys, exact-divide against the dropped prime(s), NTT
-        # back — one PE kernel per stage.
-        drop = self.params.rescale_primes
-        lvl = level + 1
-        n = self.params.n
-        ntt_batch = 2 * lvl * batch
-        intt = self.ntt.kernel_plan(ntt_batch, inverse=True)
-        ntt = self.ntt.kernel_plan(2 * (lvl - drop) * batch, inverse=False)
-        divide = K.elementwise_kernel(
-            "rescale.divide", n * (lvl - drop) * 2 * batch,
-            ops_per_element=drop * (7 + 2),
-            read_words=1 + drop, write_words=1, geometry=self.geometry,
-        )
-        return [
-            k.renamed("rescale.intt") for k in intt
-        ] + [divide] + [k.renamed("rescale.ntt") for k in ntt]
 
     # -- profiles ---------------------------------------------------------------------
 

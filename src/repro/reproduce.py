@@ -73,7 +73,6 @@ def hmult_summary() -> str:
 def trace_summary() -> str:
     from .gpusim import profile_cache_stats
     from .workloads import (
-        HOISTED_ROTATION_FACTOR,
         derived_hoisted_rotation_factor,
         simulate_bootstrap,
         simulate_recorded_bootstrap,
@@ -81,13 +80,12 @@ def trace_summary() -> str:
 
     set_c = OperationScheduler(ParameterSets.set_c())
     boot = OperationScheduler(ParameterSets.boot())
-    hand = simulate_bootstrap(scheduler=boot, hoisting="static")
+    hand = simulate_bootstrap(scheduler=boot)
     rec = simulate_recorded_bootstrap(scheduler=boot)
     cache = profile_cache_stats()
     rows = [
         ["hoisting factor (SET-C)",
-         round(derived_hoisted_rotation_factor(set_c), 3),
-         HOISTED_ROTATION_FACTOR],
+         round(derived_hoisted_rotation_factor(set_c), 3), None],
         ["Boot total ms", round(rec.total_ms, 1), round(hand.total_ms, 1)],
         ["profile cache hit/miss",
          f"{cache['hits']}/{cache['misses']}", None],

@@ -33,7 +33,6 @@ from ..core import costs
 from ..core import kernels as K
 from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
 from ..core.ntt_engine import WarpDriveNtt
-from ..core.pe_kernel import _merge_stages
 from ..gpusim import A100_PCIE_80G, DagKernel, ExecutionResult, GpuSpec, \
     KernelSpec, run_dag
 from .ir import OpTrace, TraceEvent
@@ -534,6 +533,25 @@ _EW_COSTS = {
 }
 
 
+def _merge_stages(a: KernelSpec, b: KernelSpec) -> KernelSpec:
+    """Fold a dual-kernel NTT's stages into one PE launch descriptor.
+
+    The PE design keeps the launch count fixed regardless of N; for
+    N = 2^16 the two NTT stages execute as one kernel with a grid-wide
+    sync, so their work and traffic add.
+    """
+    return replace(
+        a,
+        int32_ops=a.int32_ops + b.int32_ops,
+        tensor_macs=a.tensor_macs + b.tensor_macs,
+        gmem_read_bytes=a.gmem_read_bytes + b.gmem_read_bytes,
+        gmem_write_bytes=a.gmem_write_bytes + b.gmem_write_bytes,
+        smem_read_bytes=a.smem_read_bytes + b.smem_read_bytes,
+        smem_write_bytes=a.smem_write_bytes + b.smem_write_bytes,
+        barriers=a.barriers + b.barriers + 1,
+    )
+
+
 def _concat_specs(a: KernelSpec, b: KernelSpec) -> KernelSpec:
     """Fuse two independent launches into one grid (horizontal merge).
 
@@ -601,6 +619,27 @@ def _leaf(op: str) -> str:
 
 def _group_label(op: str) -> str:
     return op.split("/", 1)[0] if op else ""
+
+
+def proxy_params_for(params: Any, log2n: int = 10) -> Any:
+    """``params`` with the ring shrunk to ``2**log2n`` (chain unchanged).
+
+    The chain-structure fields that determine trace shapes are preserved,
+    so :func:`lower_trace` accepts the recording for the original
+    ``params``. Returns ``params`` itself when already small.
+    """
+    n = 2 ** log2n
+    if params.n <= n:
+        return params
+    return replace(
+        params, n=n, name=f"{params.name or 'params'}-proxy{log2n}"
+    )
+
+
+def chain_key(params: Any) -> tuple:
+    """The parameter fields a recording's shapes and scales depend on."""
+    return (params.max_level, params.num_special, params.dnum,
+            params.rescale_primes, params.scale_bits)
 
 
 def lower_trace(trace: OpTrace, *, params: Any = None, style: str = "pe",

@@ -163,7 +163,6 @@ class Pipeline:
     backend: str
     optimize: bool
     search: bool
-    hoisting: str
 
     def describe(self) -> str:
         """One-line summary for logs and the reproduce report."""
@@ -245,5 +244,4 @@ def build_pipeline(config: Optional[TuningConfig] = None,
         backend=cfg["backend"],
         optimize=cfg["dagopt.optimize"],
         search=cfg["dagopt.search"],
-        hoisting=cfg["schedule.hoisting"],
     )

@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 DECLARING_MODULES: Tuple[str, ...] = (
     "repro.ckks.params",
     "repro.ckks.bootstrap",
-    "repro.workloads.schedules",
     "repro.workloads.recorded",
     "repro.core.kernels",
     "repro.core.ntt_engine",

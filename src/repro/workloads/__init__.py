@@ -38,11 +38,9 @@ from .resnet import (
 )
 from .statistics import EncryptedStatistics
 from .schedules import (
-    HOISTED_ROTATION_FACTOR,
     ScheduleItem,
     WorkloadSchedule,
     WorkloadTiming,
-    hoisted_rotation_factor,
 )
 from .recorded import (
     RECORDED_BOOT_CONFIG,
@@ -61,7 +59,6 @@ from .recorded import (
 __all__ = [
     "EncryptedConv2d",
     "EncryptedLogisticRegression",
-    "HOISTED_ROTATION_FACTOR",
     "ScheduleItem",
     "TranscipherResult",
     "WorkloadSchedule",
@@ -90,7 +87,6 @@ __all__ = [
     "transcipher_schedule",
     "RECORDED_BOOT_CONFIG",
     "derived_hoisted_rotation_factor",
-    "hoisted_rotation_factor",
     "proxy_params_for",
     "record_bootstrap_trace",
     "record_helr_iteration_trace",

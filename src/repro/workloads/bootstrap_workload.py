@@ -151,11 +151,8 @@ def bootstrap_schedule(params: CkksParams = None, *,
 
 
 def simulate_bootstrap(params: CkksParams = None, *, batch: int = 1,
-                       scheduler: OperationScheduler = None,
-                       hoisting: Optional[str] = None) -> WorkloadTiming:
+                       scheduler: OperationScheduler = None) -> WorkloadTiming:
     """Price one packed bootstrap; Table XIV reports amortized ms."""
     params = params or ParameterSets.boot()
     scheduler = scheduler or OperationScheduler(params)
-    return bootstrap_schedule(params).price(
-        scheduler, batch=batch, hoisting=hoisting
-    )
+    return bootstrap_schedule(params).price(scheduler, batch=batch)

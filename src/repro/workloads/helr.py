@@ -67,14 +67,12 @@ def helr_iteration_schedule(params: CkksParams = None, *,
 
 
 def simulate_helr_iteration(params: CkksParams = None, *, batch: int = 1,
-                            scheduler: OperationScheduler = None,
-                            hoisting: str = "derived") -> WorkloadTiming:
+                            scheduler: OperationScheduler = None
+                            ) -> WorkloadTiming:
     """Amortized ms/iteration (the Table XIV HELR metric)."""
     params = params or ParameterSets.helr()
     scheduler = scheduler or OperationScheduler(params)
-    return helr_iteration_schedule(params).price(
-        scheduler, batch=batch, hoisting=hoisting
-    )
+    return helr_iteration_schedule(params).price(scheduler, batch=batch)
 
 
 class EncryptedLogisticRegression:

@@ -110,14 +110,11 @@ def resnet20_schedule(params: CkksParams = None, *,
 
 
 def simulate_resnet20(params: CkksParams = None, *, batch: int = 1,
-                      scheduler: OperationScheduler = None,
-                      hoisting: str = "derived") -> WorkloadTiming:
+                      scheduler: OperationScheduler = None) -> WorkloadTiming:
     """Amortized seconds per image (the Table XIV ResNet metric)."""
     params = params or ParameterSets.resnet()
     scheduler = scheduler or OperationScheduler(params)
-    return resnet20_schedule(params).price(
-        scheduler, batch=batch, hoisting=hoisting
-    )
+    return resnet20_schedule(params).price(scheduler, batch=batch)
 
 
 class EncryptedConv2d:

@@ -6,52 +6,17 @@ is priced with the same per-operation simulator used everywhere else,
 with one workload-specific mechanism: *hoisting* — consecutive rotations
 of the same input share their ModUp, so each additional hoisted rotation
 costs a fraction of a full HROTATE (the standard BSGS linear-transform
-optimization every system in Table XIV uses).
+optimization every system in Table XIV uses). The fraction is derived
+per parameter set from a recorded ``hoisted_rotations`` call
+(:func:`repro.workloads.recorded.derived_hoisted_rotation_factor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.scheduler import OperationScheduler
-from ..tuning.knobs import Choice, KnobSpec, knob_default, register_knob
-
-#: Cost of each additional rotation in a hoisted group, as a fraction of a
-#: full HROTATE (the shared ModUp dominates; only the inner product and
-#: automorphism remain per rotation). Hand-tuned; the documented fallback
-#: for :func:`hoisted_rotation_factor`, which derives the same quantity
-#: from a traced hoisted-keyswitch plan.
-HOISTED_ROTATION_FACTOR = 0.35
-
-# -- declared tuning knobs (DESIGN.md §14) ----------------------------------
-
-register_knob(KnobSpec(
-    name="schedule.hoisting", layer="workloads",
-    domain=Choice(("derived", "static")), default="derived",
-    doc="Hoisted-rotation discount source: derived from a traced "
-        "hoisted-keyswitch plan, or the hand-tuned constant.",
-    observe=lambda pipe: pipe.hoisting,
-))
-
-
-def hoisted_rotation_factor(scheduler: OperationScheduler = None) -> float:
-    """Per-extra-rotation cost fraction of a hoisted BSGS group.
-
-    Derived from a recorded functional ``hoisted_rotations`` plan
-    (:func:`repro.workloads.recorded.derived_hoisted_rotation_factor`)
-    when a scheduler is given; falls back to the hand-tuned
-    :data:`HOISTED_ROTATION_FACTOR` without one or when the derivation
-    cannot run (e.g. a parameter set the functional layer rejects).
-    """
-    if scheduler is None:
-        return HOISTED_ROTATION_FACTOR
-    try:
-        from .recorded import derived_hoisted_rotation_factor
-
-        return derived_hoisted_rotation_factor(scheduler)
-    except Exception:
-        return HOISTED_ROTATION_FACTOR
 
 
 @dataclass
@@ -114,28 +79,17 @@ class WorkloadSchedule:
             counts[item.op] = counts.get(item.op, 0.0) + item.count
         return counts
 
-    def price(self, scheduler: OperationScheduler, *, batch: int = 1,
-              hoisting: Optional[str] = None) -> WorkloadTiming:
+    def price(self, scheduler: OperationScheduler, *,
+              batch: int = 1) -> WorkloadTiming:
         """Total simulated time of the schedule on one device.
 
         ``batch`` ciphertexts ride through every kernel together (the
-        amortization mechanism of Table XIV's BS column). ``hoisting``
-        selects the hoisted-rotation discount: ``"derived"`` solves it
-        from a traced hoisted-keyswitch plan via
-        :func:`hoisted_rotation_factor`; ``"static"`` keeps the
-        hand-tuned :data:`HOISTED_ROTATION_FACTOR`. The default comes
-        from the ``schedule.hoisting`` knob, never a local literal.
+        amortization mechanism of Table XIV's BS column). Hoisted
+        rotations cost the trace-derived fraction of a full HROTATE.
         """
-        if hoisting is None:
-            hoisting = knob_default("schedule.hoisting")
-        if hoisting not in ("derived", "static"):
-            raise ValueError(
-                f"hoisting must be 'derived' or 'static', got {hoisting!r}"
-            )
-        factor = (
-            hoisted_rotation_factor(scheduler) if hoisting == "derived"
-            else HOISTED_ROTATION_FACTOR
-        )
+        from .recorded import derived_hoisted_rotation_factor
+
+        factor = derived_hoisted_rotation_factor(scheduler)
         total = 0.0
         breakdown: Dict[str, float] = {}
         cache: Dict[tuple, float] = {}

@@ -7,7 +7,6 @@ from repro.core import (
     HOMOMORPHIC_OPS,
     MemoryPool,
     OperationScheduler,
-    PeKeySwitchPlan,
     WarpDriveFramework,
     max_working_set_bytes,
 )
@@ -20,6 +19,14 @@ def sched():
     return OperationScheduler(PARAMS)
 
 
+def active_digits(scheduler, level):
+    """Digits the keyswitch inner product accumulates at ``level``."""
+    ip = next(k for k in scheduler.plan("keyswitch", level=level)
+              if k.name == "keyswitch.inner_product")
+    # Per accumulator pair written it reads each digit plus its 2 keys.
+    return round(2 * ip.gmem_read_bytes / (3 * ip.gmem_write_bytes))
+
+
 class TestPeKeySwitch:
     def test_eleven_kernels_at_every_level(self, sched):
         """Table IX: WarpDrive KeySwitch is always 11 kernels."""
@@ -29,17 +36,38 @@ class TestPeKeySwitch:
     def test_eleven_kernels_at_every_set(self):
         for name in ("SET-C", "SET-D", "SET-E"):
             s = OperationScheduler(ParameterSets.by_name(name))
-            assert s.kernel_count("keyswitch") == PeKeySwitchPlan.KERNEL_COUNT
+            assert s.kernel_count("keyswitch") == 11
 
     def test_level_out_of_range(self, sched):
-        with pytest.raises(ValueError):
-            PeKeySwitchPlan(PARAMS, 99, ntt=sched.ntt)
+        with pytest.raises(ValueError, match="out of range"):
+            sched.plan("keyswitch", level=99)
+        with pytest.raises(ValueError, match="out of range"):
+            sched.plan("keyswitch", level=-1)
 
     def test_active_digits_shrink_with_level(self, sched):
-        full = PeKeySwitchPlan(PARAMS, PARAMS.max_level, ntt=sched.ntt)
-        low = PeKeySwitchPlan(PARAMS, 0, ntt=sched.ntt)
-        assert low.active_digits <= full.active_digits
-        assert low.active_digits >= 1
+        full = active_digits(sched, PARAMS.max_level)
+        low = active_digits(sched, 0)
+        assert full == PARAMS.dnum
+        assert 1 <= low < full
+
+
+class TestBootSetLaunchCounts:
+    """PE launch counts at N=2^16, where every PE launch merges the two
+    stages of the dual-kernel NTT."""
+
+    BOOT = ParameterSets.boot()
+    EXPECTED = {"keyswitch": 11, "hrotate": 12, "rescale": 3, "hmult": 15,
+                "hadd": 1, "hsub": 1, "pmult": 1}
+
+    @pytest.mark.parametrize("op", sorted(EXPECTED))
+    @pytest.mark.parametrize("level", [BOOT.max_level, BOOT.max_level // 2, 1])
+    def test_launch_count(self, op, level):
+        s = OperationScheduler(self.BOOT)
+        assert s.kernel_count(op, level=level) == self.EXPECTED[op]
+
+    def test_rescale_at_level_zero_fails_loudly(self):
+        with pytest.raises(ValueError, match="lowest level"):
+            OperationScheduler(self.BOOT).plan("rescale", level=0)
 
 
 class TestOperationPlans:
@@ -57,8 +85,8 @@ class TestOperationPlans:
 
     def test_hmult_includes_keyswitch_and_rescale(self, sched):
         names = [k.name for k in sched.plan("hmult")]
-        assert any("ks." in n for n in names)
-        assert any("rescale" in n for n in names)
+        assert "keyswitch.inner_product" in names
+        assert names[-1] == "rescale.ntt"
 
     def test_latency_ordering(self, sched):
         """HMULT > HROTATE > RESCALE > HADD (Table VIII ordering)."""

@@ -1,30 +1,19 @@
-"""Traced functional ops lower to the static plans' kernel grids.
+"""Per-op plans recorded on the proxy ring match full-ring recordings.
 
-The property the trace layer rests on: for every op in
-``HOMOMORPHIC_OPS``, recording the *functional* implementation and
-lowering it PE-style yields the same kernel count and the same
-``(blocks, warps_per_block)`` grids as the hand-authored
-``OperationScheduler.plan`` at the same level.
-
-Documented divergences (asserted explicitly below):
-
-* ``keyswitch`` — the bare functional primitive returns the switched
-  pair without folding it into a ciphertext, so the plan's trailing
-  ``ks.combine`` kernel has no traced counterpart: the trace matches
-  ``plan[:-1]``.
-* ``hrotate`` — the functional tail adds ``rot0 + ks0`` (one polynomial;
-  ``ks1`` is used as-is), so the final modadd covers half the plan's
-  two-polynomial combine grid.
+``OperationScheduler.plan`` records each functional op once on a proxy
+ring that shares the parameter set's modulus chain and lowers the
+recording at the full ring. The property that rests on: for every op in
+``HOMOMORPHIC_OPS``, recording the functional op at the full ring and
+lowering it PE-style yields exactly the same kernel specs.
 """
 
 import numpy as np
 import pytest
 
 from repro.ckks import CkksContext
-from repro.ckks.keyswitch import keyswitch
 from repro.ckks.params import ParameterSets
 from repro.core import OperationScheduler
-from repro.core.scheduler import HOMOMORPHIC_OPS
+from repro.core.scheduler import HOMOMORPHIC_OPS, PROXY_LOG2N
 from repro.trace import lower_trace
 from repro.trace.recorder import record
 
@@ -33,6 +22,7 @@ PARAMS = ParameterSets.small()
 
 @pytest.fixture(scope="module")
 def setup():
+    assert PARAMS.n > 2 ** PROXY_LOG2N  # the plan really is a proxy
     scheduler = OperationScheduler(PARAMS)
     ctx = CkksContext.create(PARAMS, seed=7)
     keys = ctx.keygen(rotations=[1])
@@ -54,10 +44,6 @@ def traced_dag(scheduler, run):
     )
 
 
-def grids(specs):
-    return [(s.blocks, s.warps_per_block) for s in specs]
-
-
 def functional_call(op, ctx, keys, ct, ct2, pt):
     ev = ctx.evaluator
     if op == "hadd":
@@ -74,7 +60,7 @@ def functional_call(op, ctx, keys, ct, ct2, pt):
         scaled = ev.pmult(ct, pt)
         return lambda: ev.rescale(scaled)
     if op == "keyswitch":
-        return lambda: keyswitch(ct.c1, keys.relin, ev.p_moduli)
+        return lambda: ev.relinearize(ct.c0, ct.c1, ct2.c1, keys)
     raise AssertionError(f"unhandled op {op!r}")
 
 
@@ -82,22 +68,7 @@ def functional_call(op, ctx, keys, ct, ct2, pt):
 def test_traced_op_matches_plan(op, setup):
     scheduler, ctx, keys, ct, ct2, pt = setup
     dag = traced_dag(scheduler, functional_call(op, ctx, keys, ct, ct2, pt))
-    plan = scheduler.plan(op, level=ct.level)
-    traced = grids(dag.specs)
-    planned = grids(plan)
-
-    if op == "keyswitch":
-        # Divergence: no ciphertext to combine into (see module docstring).
-        assert plan[-1].name == "ks.combine"
-        assert traced == planned[:-1]
-    elif op == "hrotate":
-        # Divergence: the traced combine covers one polynomial, not two.
-        assert len(traced) == len(planned)
-        assert traced[:-1] == planned[:-1]
-        assert traced[-1][0] * 2 == planned[-1][0]
-        assert traced[-1][1] == planned[-1][1]
-    else:
-        assert traced == planned
+    assert dag.specs == scheduler.plan(op, level=ct.level)
 
 
 def test_hmult_contains_full_keyswitch_and_rescale(setup):
@@ -108,3 +79,5 @@ def test_hmult_contains_full_keyswitch_and_rescale(setup):
     assert names[0] == "hmult.tensor_product"
     assert "keyswitch.inner_product" in names
     assert names[-1] == "rescale.ntt"
+    assert len(names) == 1 + scheduler.kernel_count("keyswitch") + \
+        scheduler.kernel_count("rescale")

@@ -5,11 +5,9 @@ import pytest
 from repro.ckks.params import ParameterSets
 from repro.core import OperationScheduler
 from repro.workloads import (
-    HOISTED_ROTATION_FACTOR,
     WorkloadSchedule,
     WorkloadTiming,
     derived_hoisted_rotation_factor,
-    hoisted_rotation_factor,
     record_bootstrap_trace,
     recorded_workload_timing,
     simulate_recorded_bootstrap,
@@ -23,36 +21,24 @@ def set_c_scheduler():
 
 class TestDerivedFactor:
     def test_set_c_factor_matches_hand_tuned_constant(self, set_c_scheduler):
-        # The hand-tuned constant was eyeballed for SET-C; the
-        # trace-derived value must land within +-20% of it.
+        # The retired hand-tuned constant (0.35) was eyeballed for SET-C;
+        # the trace-derived value must land within +-20% of it.
         factor = derived_hoisted_rotation_factor(set_c_scheduler)
-        assert factor == pytest.approx(HOISTED_ROTATION_FACTOR, rel=0.20)
+        assert factor == pytest.approx(0.35, rel=0.20)
 
     def test_factor_cached(self, set_c_scheduler):
         a = derived_hoisted_rotation_factor(set_c_scheduler)
         b = derived_hoisted_rotation_factor(set_c_scheduler)
         assert a == b
 
-    def test_fallback_without_scheduler(self):
-        assert hoisted_rotation_factor(None) == HOISTED_ROTATION_FACTOR
-
     def test_pricing_uses_derived_factor(self, set_c_scheduler):
-        assert hoisted_rotation_factor(set_c_scheduler) == \
-            derived_hoisted_rotation_factor(set_c_scheduler)
-
-    def test_static_and_derived_pricings_differ(self, set_c_scheduler):
         sched = WorkloadSchedule("rot")
         sched.add("hrotate", 10, 1)
         sched.add("hrotate", 10, 7, hoisted=True)
-        static = sched.price(set_c_scheduler, hoisting="static").total_us
-        derived = sched.price(set_c_scheduler, hoisting="derived").total_us
-        assert static != derived
-
-    def test_unknown_hoisting_mode_rejected(self, set_c_scheduler):
-        sched = WorkloadSchedule("rot")
-        sched.add("hrotate", 10, 1)
-        with pytest.raises(ValueError):
-            sched.price(set_c_scheduler, hoisting="maybe")
+        single = set_c_scheduler.simulate("hrotate", level=10).elapsed_us
+        factor = derived_hoisted_rotation_factor(set_c_scheduler)
+        assert sched.price(set_c_scheduler).total_us == pytest.approx(
+            single * (1 + 7 * factor))
 
 
 class TestRecordedBootstrap:
