@@ -18,12 +18,13 @@ import numpy as np
 
 from ..ckks.keys import KeyGenerator, KeySet
 from ..ckks.keyswitch import keyswitch
-from ..ckks.poly import RnsPoly
+from ..ckks.ks_common import eval_automorphism_table, mod_down_eval
+from ..ckks.poly import EVAL, RnsPoly
 from ..ckks.sampling import sample_error, sample_ternary
 from ..ntt import negacyclic_intt, negacyclic_ntt
 from ..ntt.tables import get_tables
 from ..numtheory import CRTReconstructor, modinv
-from ..numtheory.rns import RNSBasis, mod_down_exact_t
+from ..numtheory.rns import RNSBasis
 from .params import BgvParams
 
 
@@ -204,8 +205,9 @@ class BgvContext:
                 f"no Galois key for exponent {exponent}; call "
                 "generate_galois_key first"
             )
-        rot0 = ct.c0.to_coeff().automorphism(exponent).to_eval()
-        rot1 = ct.c1.to_coeff().automorphism(exponent).to_eval()
+        src = eval_automorphism_table(exponent, self.params.n)
+        rot0 = RnsPoly(ct.c0.data[:, src], ct.moduli, EVAL)
+        rot1 = RnsPoly(ct.c1.data[:, src], ct.moduli, EVAL)
         ks0, ks1 = keyswitch(rot1, key, self.p_moduli,
                              plain_modulus=self.t)
         return BgvCiphertext(rot0 + ks0, ks1, ct.level, ct.plain_scale)
@@ -217,16 +219,13 @@ class BgvContext:
             raise ValueError("already at the lowest level")
         moduli = ct.moduli
         q_last = moduli[-1]
-        main = RNSBasis(moduli[:-1])
-        special = RNSBasis(moduli[-1:])
-        parts = []
-        for part in (ct.c0, ct.c1):
-            lowered = mod_down_exact_t(
-                part.to_coeff().data, main, special, self.t
-            )
-            parts.append(
-                RnsPoly(lowered, moduli[:-1], "coeff").to_eval()
-            )
+        lowered = mod_down_eval(
+            np.stack([ct.c0.data, ct.c1.data], axis=1),
+            RNSBasis(moduli[:-1]), RNSBasis(moduli[-1:]),
+            plain_modulus=self.t,
+        )
+        parts = [RnsPoly(np.ascontiguousarray(lowered[:, i]), moduli[:-1],
+                         EVAL) for i in range(2)]
         new_scale = (ct.plain_scale * modinv(q_last % self.t, self.t)) \
             % self.t
         return BgvCiphertext(parts[0], parts[1], ct.level - 1, new_scale)

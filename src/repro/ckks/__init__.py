@@ -23,7 +23,6 @@ from .noise import NoiseEstimator, NoiseState, measured_noise_bits
 from .ops import Evaluator
 from .params import CkksParams, ParameterSets
 from .poly import COEFF, EVAL, RnsPoly
-from .rescale import rescale_poly
 from .rns_context import RnsContext, all_cache_stats, get_rns_context
 from .sampling import sample_error, sample_ternary, sample_uniform
 from .serialize import (
@@ -67,7 +66,6 @@ __all__ = [
     "keyswitch",
     "keyswitch_looped",
     "measured_noise_bits",
-    "rescale_poly",
     "sample_error",
     "sample_ternary",
     "sample_uniform",

@@ -19,7 +19,8 @@ the inner product and the ModDown remain, exactly the accounting behind
 the workload layer's hoisted-rotation discount. Those per-step parts are batched across all
 requested steps too: the inner products reduce against per-step evk row
 stacks in one wide-accumulator pass, and every accumulator (both
-components of every step) shares one INTT → ModDown → NTT tail. The c0
+components of every step) shares one eval-domain ModDown, which
+transforms only the special rows and the correction. The c0
 leg never leaves the evaluation domain at all.
 
 :func:`hoisted_rotations_looped` preserves the per-step pipeline as the
@@ -49,7 +50,9 @@ from ..numtheory.rns import (
 from .ciphertext import Ciphertext
 from .keys import KeySet
 from .ks_common import (
+    eval_automorphism_table,
     full_chain_length,
+    mod_down_eval,
     present_digits,
     select_level_rows,
     stacked_inner_product,
@@ -57,25 +60,6 @@ from .ks_common import (
 )
 from .ops import Evaluator
 from .poly import COEFF, EVAL, RnsPoly
-
-
-def _eval_automorphism_tables(steps: Sequence[int], n: int) -> np.ndarray:
-    """Stacked eval-domain gather tables for ``X -> X^(5^s)``.
-
-    The negacyclic NTT's output slot ``k`` holds the evaluation at
-    ``psi^(2k+1)``, so the automorphism with odd exponent ``t`` permutes
-    slots by ``k -> ((t * (2k+1)) mod 2N) >> 1`` — a pure gather with no
-    sign flips, bit-exact against ``INTT -> coeff automorphism -> NTT``.
-    Returns ``src`` of shape ``(num_steps, n)`` with
-    ``out[s, k] = x[src[s, k]]``.
-    """
-    two_n = 2 * n
-    k = np.arange(n)
-    src = np.empty((len(steps), n), dtype=np.intp)
-    for s_idx, step in enumerate(steps):
-        exponent = pow(5, step, two_n)
-        src[s_idx] = (exponent * (2 * k + 1)) % two_n >> 1
-    return src
 
 
 @bounded()
@@ -140,7 +124,9 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
         # functional stand-in for that addressing mode, so no kernel is
         # emitted for it — the inner product event depends directly on the
         # shared digit NTT.
-        src = _eval_automorphism_tables(steps, n)
+        src = np.stack([
+            eval_automorphism_table(pow(5, s, 2 * n), n) for s in steps
+        ])  # (S, N)
         rot_eval = np.ascontiguousarray(
             ext_eval[:, :, src].transpose(0, 2, 1, 3)
         )  # (L+K, S, G, N)
@@ -160,20 +146,20 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
                writes=(acc0, acc1),
                key_material=tuple(keys.rotation[s] for s in steps))
 
-        # --- batched tail: INTT + ModDown + NTT of every accumulator -------
+        # --- batched tail: one eval-domain ModDown of every accumulator ----
+        # Only the K special rows visit the coefficient domain on the host;
+        # the events describe the priced plan's full-width INTT and NTT.
         acc = np.concatenate([acc0, acc1], axis=1)  # (L+K, 2S, N)
-        acc_coeff = stacked_negacyclic_intt(acc, stack_target)
-        _temit("intt", rows=2 * num_steps * num_target,
-               panes=2 * num_steps, reads=(acc0, acc1), writes=(acc_coeff,))
-        lowered = mod_down(
-            acc_coeff, RNSBasis(level_moduli), RNSBasis(special)
+        parts = mod_down_eval(
+            acc, RNSBasis(level_moduli), RNSBasis(special)
         )  # (L, 2S, N)
-        _temit("moddown", main_primes=num_level,
-               special_primes=len(special), polys=2 * num_steps,
-               reads=(acc_coeff,), writes=(lowered,))
-        parts = stacked_negacyclic_ntt(lowered, stack_level)
+        eid = _temit("intt", rows=2 * num_steps * num_target,
+                     panes=2 * num_steps, reads=(acc0, acc1))
+        eid = _temit("moddown", main_primes=num_level,
+                     special_primes=len(special), polys=2 * num_steps,
+                     deps=(eid,))
         _temit("ntt", rows=2 * num_steps * num_level, panes=2 * num_steps,
-               reads=(lowered,), writes=(parts,))
+               deps=(eid,), writes=(parts,))
 
         # --- c0 leg: eval-domain gathers only (no transforms at all) -------
         rot0_eval = ct.c0.data[:, src]  # (L, S, N)

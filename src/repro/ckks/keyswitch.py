@@ -25,7 +25,9 @@ parallelism WarpDrive's PE kernels exploit (§IV-C):
 * the InnerProduct is a single einsum-style wide-accumulator reduction
   against the stacked evk rows (:func:`~.ks_common.stacked_inner_product`)
   — no per-digit ``acc = acc + ext * rows`` temporaries;
-* both accumulators ride one batched INTT → ModDown → NTT tail.
+* both accumulators ride one eval-domain ModDown
+  (:func:`~.ks_common.mod_down_eval`): only the K special rows are
+  inverse-transformed, and only the correction is transformed back.
 
 :func:`keyswitch_looped` preserves the per-digit pipeline as the
 bit-exactness oracle; the batched path returns identical polynomials
@@ -55,6 +57,7 @@ from ..numtheory.rns import (
 from .keys import KeySwitchKey
 from .ks_common import (
     full_chain_length,
+    mod_down_eval,
     present_digits,
     select_level_rows,
     stacked_inner_product,
@@ -154,33 +157,27 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
         if pool is not None:
             pool.allocate(acc.nbytes, "inner_product")
 
-        # stages 5-7: both accumulators share one INTT, ModDown and NTT.
-        # The PE plan keeps these per-accumulator (Table IX kernels 5-10),
-        # so the events carry split=2.
-        acc_coeff = stacked_negacyclic_intt(acc, stack_target)
-        _temit("intt", rows=2 * num_target, panes=2, split=2,
-               reads=(acc,), writes=(acc_coeff,))
-        main = RNSBasis(level_moduli)
-        special = RNSBasis(tuple(special_moduli))
-        if plain_modulus is None:
-            lowered = mod_down(acc_coeff, main, special)
-        else:
-            lowered = mod_down_exact_t(
-                acc_coeff, main, special, plain_modulus
-            )
-        _temit("moddown", main_primes=num_level,
-               special_primes=len(special_moduli), polys=2, split=2,
-               reads=(acc_coeff,), writes=(lowered,))
+        # stages 5-7: both accumulators share one eval-domain ModDown. The
+        # host transforms only the K special rows and the correction; the
+        # events keep describing the PE plan, which runs the tail
+        # full-width per accumulator (Table IX kernels 5-10, split=2).
+        out = mod_down_eval(
+            acc, RNSBasis(level_moduli), RNSBasis(tuple(special_moduli)),
+            plain_modulus=plain_modulus,
+        )
         if pool is not None:
-            pool.allocate(lowered.nbytes, "mod_down")
-
-        out = stacked_negacyclic_ntt(lowered, stack_level)
-        if pool is not None:
+            # ModDown's coefficient-domain buffer: the K special rows.
+            pool.allocate(acc[num_level:].nbytes, "mod_down")
             pool.allocate(out.nbytes, "keyswitch_out")
         res0 = RnsPoly(np.ascontiguousarray(out[:, 0]), level_moduli, EVAL)
         res1 = RnsPoly(np.ascontiguousarray(out[:, 1]), level_moduli, EVAL)
-        _temit("ntt", rows=2 * num_level, panes=2, split=2,
-               reads=(lowered,), writes=(out, res0, res1))
+        eid = _temit("intt", rows=2 * num_target, panes=2, split=2,
+                     reads=(acc,))
+        eid = _temit("moddown", main_primes=num_level,
+                     special_primes=len(special_moduli), polys=2, split=2,
+                     deps=(eid,))
+        _temit("ntt", rows=2 * num_level, panes=2, split=2, deps=(eid,),
+               writes=(out, res0, res1))
         return res0, res1
 
 

@@ -5,19 +5,28 @@ polynomials to the current level, enumerate the digits present at that
 level, and accumulate digit-times-key inner products. These helpers used
 to be copy-pasted between the two modules; they live here once, together
 with the batched building blocks the fused pipelines share: the per-level
-stacked key-row cache and the wide-accumulator inner product that mirrors
-the paper's tensor-core MAC kernels (§IV-C).
+stacked key-row cache, the wide-accumulator inner product that mirrors
+the paper's tensor-core MAC kernels (§IV-C), the eval-domain ModDown that
+also serves RESCALE and BGV modulus switching, and the cached eval-domain
+automorphism gather.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.annotations import bounded, returns_view
 from ..backend import active_backend
+from ..ntt.stacked import (
+    get_shoup_stack,
+    stacked_negacyclic_intt,
+    stacked_negacyclic_ntt,
+)
 from ..numtheory.barrett import BatchBarrettReducer
+from ..numtheory.rns import RNSBasis, divide_by_special, mod_down_delta
 from .keys import KeySwitchKey
 from .poly import RnsPoly
 
@@ -144,3 +153,53 @@ def stacked_inner_product(ext_eval: np.ndarray, b_stack: np.ndarray,
     ``(acc0, acc1) = (ext . b, ext . a)`` reduced over the digit axis."""
     return wide_dot(ext_eval, b_stack, reducer, lane_axis=lane_axis), \
         wide_dot(ext_eval, a_stack, reducer, lane_axis=lane_axis)
+
+
+@bounded(in_q=1, out_q=1, params={"x_eval": {"q": 1}})
+def mod_down_eval(x_eval: np.ndarray, main: RNSBasis, special: RNSBasis, *,
+                  plain_modulus: int = None) -> np.ndarray:
+    """Divide eval-domain ``x`` over ``main ++ special`` (main rows
+    first, any batch axes) by ``P = prod(special)``; eval-domain result
+    over ``main``. Serves the KeySwitch/hoisting ModDown, RESCALE and BGV
+    modulus switching.
+
+    Only the special rows are inverse-transformed: the exact correction
+    ``delta`` (:func:`~repro.numtheory.rns.mod_down_delta`) is NTT'd onto
+    ``main`` and ``(x - delta) * P^{-1}`` is taken in the eval domain.
+    Bit-identical to INTT → ``mod_down``/``mod_down_exact_t`` → NTT.
+    """
+    n_main = len(main)
+    if x_eval.shape[0] != n_main + len(special):
+        raise ValueError(
+            "ModDown input must cover the concatenated main+special basis"
+        )
+    n = x_eval.shape[-1]
+    x_special = stacked_negacyclic_intt(
+        x_eval[n_main:], get_shoup_stack(tuple(special.moduli), n)
+    )
+    delta = mod_down_delta(x_special, main, special,
+                           plain_modulus=plain_modulus)
+    delta_eval = stacked_negacyclic_ntt(
+        delta, get_shoup_stack(tuple(main.moduli), n)
+    )
+    return divide_by_special(x_eval[:n_main], delta_eval, main, special)
+
+
+@lru_cache(maxsize=1024)
+def eval_automorphism_table(exponent: int, n: int) -> np.ndarray:
+    """Eval-domain gather table of ``X -> X^exponent`` (odd exponent).
+
+    The negacyclic NTT's output slot ``k`` holds the evaluation at
+    ``psi^(2k+1)``, so the automorphism permutes slots by
+    ``k -> ((exponent * (2k+1)) mod 2N) >> 1`` — a pure gather with no
+    sign flips, bit-exact against ``INTT -> coeff automorphism -> NTT``.
+    Returns a read-only ``src`` of shape ``(n,)`` with
+    ``out[..., k] = x[..., src[k]]``; cached per ``(exponent, n)``.
+    """
+    if exponent % 2 == 0:
+        raise ValueError("automorphism exponent must be odd")
+    two_n = 2 * n
+    src = (exponent * (2 * np.arange(n) + 1)) % two_n >> 1
+    src = src.astype(np.intp)
+    src.setflags(write=False)
+    return src

@@ -20,13 +20,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..numtheory import CRTReconstructor
+from ..numtheory.rns import RNSBasis
 from ..trace.recorder import emit as _temit, span as _tspan
 from .ciphertext import Ciphertext, Plaintext
 from .keys import KeySet, KeySwitchKey, PublicKey, SecretKey
 from .keyswitch import keyswitch
+from .ks_common import eval_automorphism_table, mod_down_eval
 from .params import CkksParams
-from .poly import RnsPoly
-from .rescale import rescale_poly
+from .poly import EVAL, RnsPoly
 from .sampling import sample_error, sample_ternary
 
 #: Relative scale mismatch tolerated when adding ciphertexts.
@@ -168,19 +169,35 @@ class Evaluator:
         return self.hmult(ct, ct, keys, rescale=rescale)
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """Drop ``rescale_primes`` primes, dividing scale accordingly."""
+        """Drop ``rescale_primes`` primes (double-prime rescaling [5] when
+        two), dividing scale accordingly: one eval-domain divide by their
+        product, bit-identical to dropping them one at a time."""
         k = self.params.rescale_primes
-        with _tspan("rescale", level=ct.level):
-            new_c0, divisor = rescale_poly(ct.c0, primes=k)
-            new_c1, _ = rescale_poly(ct.c1, primes=k)
-            out_c0 = new_c0.to_eval()
-            out_c1 = new_c1.to_eval()
-            _temit("ntt", rows=2 * (ct.level + 1 - k), panes=2,
-                   reads=(new_c0, new_c1), writes=(out_c0, out_c1),
-                   scale=ct.scale / divisor)
-            return Ciphertext(
-                out_c0, out_c1, ct.level - k, ct.scale / divisor,
+        moduli = ct.moduli
+        if len(moduli) <= k:
+            raise ValueError(
+                f"cannot drop {k} prime(s) from a {len(moduli)}-prime "
+                "polynomial — the ciphertext is already at the lowest level"
             )
+        main, dropped = moduli[:-k], moduli[-k:]
+        scale = ct.scale / math.prod(dropped)
+        with _tspan("rescale", level=ct.level):
+            out = mod_down_eval(
+                np.stack([ct.c0.data, ct.c1.data], axis=1),
+                RNSBasis(main), RNSBasis(dropped),
+            )
+            out_c0 = RnsPoly(np.ascontiguousarray(out[:, 0]), main, EVAL)
+            out_c1 = RnsPoly(np.ascontiguousarray(out[:, 1]), main, EVAL)
+            # The priced plan INTTs every row of each polynomial, divides,
+            # and NTTs the survivors; the host transforms fewer rows.
+            divides = []
+            for poly in (ct.c0, ct.c1):
+                eid = _temit("intt", rows=len(moduli), reads=(poly,))
+                divides.append(_temit("divide", rows=len(main), drop=k,
+                                      deps=(eid,)))
+            _temit("ntt", rows=2 * len(main), panes=2, deps=divides,
+                   writes=(out_c0, out_c1), scale=scale)
+            return Ciphertext(out_c0, out_c1, ct.level - k, scale)
 
     # -- scale management (used heavily by polynomial evaluation) -------------------
 
@@ -309,13 +326,12 @@ class Evaluator:
     def _apply_galois(self, ct: Ciphertext, exponent: int,
                       key: KeySwitchKey, op: str = "hrotate",
                       step: int = 0) -> Ciphertext:
+        src = eval_automorphism_table(exponent, self.params.n)
         with _tspan(op, level=ct.level):
-            rot0 = ct.c0.to_coeff().automorphism(exponent).to_eval()
-            rot1 = ct.c1.to_coeff().automorphism(exponent).to_eval()
-            # One gather event for both polynomials: the coefficient-domain
-            # round trip above is a functional-layer artifact (a negacyclic
-            # automorphism permutes either domain), so the trace records
-            # what a GPU launches — the in-place eval-domain permutation.
+            rot0 = RnsPoly(ct.c0.data[:, src], ct.moduli, EVAL)
+            rot1 = RnsPoly(ct.c1.data[:, src], ct.moduli, EVAL)
+            # One gather event for both polynomials: a negacyclic
+            # automorphism is a pure slot permutation in the eval domain.
             # ``args`` carries the slot step (-1 = conjugation) so the
             # optimizer and key audits know *which* rotation this was.
             _temit("automorphism", primes=ct.level + 1, polys=2,

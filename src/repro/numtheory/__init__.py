@@ -34,7 +34,6 @@ from .rns import (
     extend_basis,
     extend_basis_stacked,
     mod_down,
-    rescale_rows,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "modinv",
     "modpow",
     "primitive_root",
-    "rescale_rows",
     "root_of_unity",
     "schoolbook_limb_product",
     "split_limbs",

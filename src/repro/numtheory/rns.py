@@ -321,36 +321,6 @@ def extend_basis_stacked(residues: np.ndarray, groups: Sequence[Sequence[int]],
 
 
 @bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
-def mod_down(residues: np.ndarray, main: RNSBasis, special: RNSBasis,
-             ) -> np.ndarray:
-    """Divide by ``P = prod(special)`` with rounding (KeySwitch ModDown).
-
-    ``residues`` holds the value over the concatenated basis ``main ++
-    special`` (main rows first), with any number of trailing batch axes
-    after the prime axis — the batched key-switch lowers both
-    accumulators (and, when hoisting, every rotation step) in one call.
-    Returns ``round(x / P)`` over ``main``.
-    """
-    n_main = len(main)
-    if residues.shape[0] != n_main + len(special):
-        raise ValueError(
-            "ModDown input must cover the concatenated main+special basis"
-        )
-    x_main = residues[:n_main]
-    x_special = residues[n_main:]
-    # Extend (x mod P) back onto the main basis, then subtract and divide —
-    # all main rows in one batched pass.
-    x_special_on_main = extend_basis(x_special, special, main, exact=True)
-    p_inv_col = _const_col(
-        [modinv(special.product % q, q) for q in main.moduli],
-        residues.ndim,
-    )
-    mb = main.batch
-    diff = mb.sub_mat(x_main, mb.reduce_mat(x_special_on_main))
-    return mb.mul_mat(diff, p_inv_col)
-
-
-@bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
 def extend_basis_signed(residues: np.ndarray, source: RNSBasis,
                         target: RNSBasis) -> np.ndarray:
     """Exact extension of the *centered* representative.
@@ -400,30 +370,35 @@ def extend_basis_signed(residues: np.ndarray, source: RNSBasis,
     return np.where(negative[None, ...], shifted, out)
 
 
-@bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
-def mod_down_exact_t(residues: np.ndarray, main: RNSBasis,
-                     special: RNSBasis, t: int) -> np.ndarray:
-    """BGV/BFV-style ModDown: divide by ``P`` *preserving residues mod t*.
-
-    CKKS tolerates ModDown's rounding as noise; BGV cannot — the rounding
-    must be a multiple of the plaintext modulus ``t``. Following
-    Gentry-Halevi-Smart modulus switching: with ``delta = [x]_P``,
-    subtract ``delta' = delta - P * [delta * P^{-1}]_t`` (centered), which
-    is ≡ delta (mod P) and ≡ 0 (mod t), then divide by P exactly. The
-    result ``y`` satisfies ``y ≡ x * P^{-1} (mod t)`` and
-    ``|y - x/P| <= (t+1)/2``.
-    """
-    n_main = len(main)
-    if residues.shape[0] != n_main + len(special):
+def _check_mod_down_rows(residues: np.ndarray, main: RNSBasis,
+                         special: RNSBasis) -> None:
+    if residues.shape[0] != len(main) + len(special):
         raise ValueError(
             "ModDown input must cover the concatenated main+special basis"
         )
+
+
+@bounded(in_q=1, out_q=1, params={"x_special": {"q": 1}})
+def mod_down_delta(x_special: np.ndarray, main: RNSBasis, special: RNSBasis,
+                   *, plain_modulus: int = None) -> np.ndarray:
+    """The ModDown correction ``delta`` over ``main``: a value congruent to
+    ``x`` modulo ``P = prod(special)``, so ``x - delta`` divides exactly.
+
+    ``x_special`` holds the coefficient-domain residues of ``x`` over
+    ``special`` (any trailing batch axes). Without ``plain_modulus`` this
+    is the exact extension of ``[x]_P`` (flooring division, CKKS). With a
+    plaintext modulus ``t`` (BGV/BFV, Gentry-Halevi-Smart modulus
+    switching) it is ``delta - P * [delta * P^{-1}]_t`` (centered), which
+    is also ``≡ 0 (mod t)``: the quotient then satisfies
+    ``y ≡ x * P^{-1} (mod t)`` and ``|y - x/P| <= (t+1)/2``.
+    """
+    delta = extend_basis(x_special, special, main, exact=True)
+    if plain_modulus is None:
+        return delta
+    t = plain_modulus
     if any(q % t == 0 for q in main.moduli + special.moduli):
         raise ValueError("plaintext modulus must be coprime to the chain")
-    x_main = residues[:n_main]
-    x_special = residues[n_main:]
-    ndim = residues.ndim
-    delta_on_main = extend_basis(x_special, special, main, exact=True)
+    ndim = x_special.ndim
     # delta mod t, via an exact extension onto the singleton basis {t}.
     delta_mod_t = extend_basis(
         x_special, special, RNSBasis([t]), exact=True
@@ -437,9 +412,6 @@ def mod_down_exact_t(residues: np.ndarray, main: RNSBasis,
     ).astype(np.int64)
     correction[correction > t // 2] -= t
 
-    p_inv_col = _const_col(
-        [modinv(special.product % q, q) for q in main.moduli], ndim
-    )
     p_mod_q_col = _const_col(
         [special.product % q for q in main.moduli], ndim
     )
@@ -453,36 +425,52 @@ def mod_down_exact_t(residues: np.ndarray, main: RNSBasis,
         correction.astype(np.int64)[None, ...], q_col
     ).astype(np.uint64)
     corr_term = mb.mul_mat(corr_mod_q, p_mod_q_col)  # fhelint: allow-B-RED
-    delta_prime = mb.sub_mat(delta_on_main, corr_term)
-    diff = mb.sub_mat(x_main, delta_prime)
-    return mb.mul_mat(diff, p_inv_col)
+    return mb.sub_mat(delta, corr_term)
+
+
+@bounded(in_q=1, out_q=1, params={"x_main": {"q": 1}, "delta": {"q": 1}})
+def divide_by_special(x_main: np.ndarray, delta: np.ndarray, main: RNSBasis,
+                      special: RNSBasis) -> np.ndarray:
+    """``(x - delta) * P^{-1}`` over ``main``, for ``delta`` from
+    :func:`mod_down_delta`. The map is element-wise and linear, so it
+    holds in either domain as long as both operands share it."""
+    p_inv_col = _const_col(
+        [modinv(special.product % q, q) for q in main.moduli], x_main.ndim
+    )
+    mb = main.batch
+    return mb.mul_mat(mb.sub_mat(x_main, delta), p_inv_col)
 
 
 @bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
-def rescale_rows(residues: np.ndarray, basis: RNSBasis) -> np.ndarray:
-    """Drop the last prime of ``basis`` and divide by it (CKKS RESCALE).
+def mod_down(residues: np.ndarray, main: RNSBasis, special: RNSBasis,
+             ) -> np.ndarray:
+    """Divide by ``P = prod(special)`` with flooring (KeySwitch ModDown).
 
-    Returns residues over ``basis.moduli[:-1]`` equal to
-    ``round-ish(x / q_last)`` (the standard RNS rescale: exact division of
-    ``x - [x]_{q_last}``, the rounding error being absorbed as noise).
+    ``residues`` holds the coefficient-domain value over the concatenated
+    basis ``main ++ special`` (main rows first), with any number of
+    trailing batch axes after the prime axis. Returns ``floor(x / P)``
+    over ``main``.
     """
-    if residues.shape[0] != len(basis):
-        raise ValueError("residue rows do not match basis size")
-    if len(basis) < 2:
-        raise ValueError("cannot rescale below one modulus")
-    last = residues[-1]
-    q_last = basis.moduli[-1]
-    # All remaining rows in one batched pass: subtract [x]_{q_last} and
-    # multiply by q_last^{-1} mod q_i.
-    head = basis.sub_basis(range(len(basis) - 1)).batch
-    inv_col = np.array(
-        [modinv(q_last % q_i, q_i) for q_i in basis.moduli[:-1]],
-        dtype=np.uint64,
-    ).reshape(-1, 1)
-    remaining = residues[:-1]
-    last_mod = head.reduce_mat(np.broadcast_to(last, remaining.shape))
-    diff = head.sub_mat(remaining, last_mod)
-    return head.mul_mat(diff, inv_col)
+    _check_mod_down_rows(residues, main, special)
+    n_main = len(main)
+    delta = mod_down_delta(residues[n_main:], main, special)
+    return divide_by_special(residues[:n_main], delta, main, special)
+
+
+@bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
+def mod_down_exact_t(residues: np.ndarray, main: RNSBasis,
+                     special: RNSBasis, t: int) -> np.ndarray:
+    """BGV/BFV-style ModDown: divide by ``P`` *preserving residues mod t*.
+
+    CKKS tolerates ModDown's rounding as noise; BGV cannot — the rounding
+    must be a multiple of the plaintext modulus ``t`` (see
+    :func:`mod_down_delta`).
+    """
+    _check_mod_down_rows(residues, main, special)
+    n_main = len(main)
+    delta = mod_down_delta(residues[n_main:], main, special,
+                           plain_modulus=t)
+    return divide_by_special(residues[:n_main], delta, main, special)
 
 
 def digit_partition(num_primes: int, dnum: int) -> List[List[int]]:

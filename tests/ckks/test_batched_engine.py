@@ -4,11 +4,11 @@ plus the unified cache-sizing / zero-recomputation invariants."""
 import numpy as np
 
 from repro.ckks import all_cache_stats
+from repro.ckks.ks_common import mod_down_eval
 from repro.ckks.poly import COEFF, EVAL, RnsPoly, get_reducer
-from repro.ckks.rescale import rescale_poly
 from repro.ntt import TABLE_CACHE_SIZE, get_tables, negacyclic_intt, negacyclic_ntt
 from repro.ntt.negacyclic import apply_automorphism
-from repro.numtheory import find_ntt_primes
+from repro.numtheory import RNSBasis, find_ntt_primes
 
 N = 64
 MODULI = tuple(find_ntt_primes(6, 28, N))
@@ -115,9 +115,13 @@ class TestCacheSizing:
                 for q in deep_moduli
             ])
             a = RnsPoly(data, deep_moduli)
-            prod = (a.to_eval() * a.to_eval()).to_coeff()
-            lowered, _ = rescale_poly(prod, primes=2)
-            return lowered.automorphism(5)
+            prod = a.to_eval() * a.to_eval()
+            lowered = mod_down_eval(
+                prod.data, RNSBasis(deep_moduli[:-2]),
+                RNSBasis(deep_moduli[-2:]),
+            )
+            return RnsPoly(lowered, deep_moduli[:-2], EVAL) \
+                .to_coeff().automorphism(5)
 
         op()  # warm every cache the op touches
         before = all_cache_stats()

@@ -14,7 +14,12 @@ from repro.numtheory import (
     extend_basis,
     find_ntt_primes,
     mod_down,
-    rescale_rows,
+)
+from repro.ckks.ks_common import mod_down_eval
+from repro.ntt.stacked import (
+    get_shoup_stack,
+    stacked_negacyclic_intt,
+    stacked_negacyclic_ntt,
 )
 
 PRIMES = find_ntt_primes(6, 28, 1024)
@@ -169,32 +174,74 @@ class TestModDown:
             mod_down(np.zeros((2, 4), dtype=np.uint64), main, special)
 
 
+def _rows(values, moduli):
+    """Residue rows ``(len(moduli), *values.shape)`` of integer values."""
+    return np.stack([
+        np.array([[v % q for v in row] for row in values],
+                 dtype=np.uint64).reshape(np.shape(values))
+        for q in moduli
+    ])
+
+
+def _transform(x, moduli, inverse=False):
+    stack = get_shoup_stack(tuple(moduli), x.shape[-1])
+    fn = stacked_negacyclic_intt if inverse else stacked_negacyclic_ntt
+    return fn(x, stack)
+
+
 class TestRescaleRows:
-    def test_exact_multiple(self):
-        basis = RNSBasis(PRIMES[:3])
-        q_last = basis.moduli[-1]
-        rnd = random.Random(5)
-        sub_product = basis.moduli[0] * basis.moduli[1]
-        ys = [rnd.randrange(sub_product) for _ in range(32)]
-        xs = [y * q_last for y in ys]
-        stacked = np.stack(
-            [np.array([x % q for x in xs], dtype=np.uint64)
-             for q in basis.moduli]
+    """RESCALE is the eval-domain divide by the dropped trailing prime(s)."""
+
+    def _rescale(self, coeff, moduli, drop=1):
+        out = mod_down_eval(
+            _transform(coeff, moduli), RNSBasis(moduli[:-drop]),
+            RNSBasis(moduli[-drop:]),
         )
-        out = rescale_rows(stacked, basis)
+        return _transform(out, moduli[:-drop], inverse=True)
+
+    def test_exact_multiple(self):
+        moduli = PRIMES[:3]
+        q_last = moduli[-1]
+        rnd = random.Random(5)
+        ys = [[rnd.randrange(moduli[0] * moduli[1]) for _ in range(32)]]
+        xs = [[y * q_last for y in ys[0]]]
+        out = self._rescale(_rows(xs, moduli)[:, 0], moduli)
         assert out.shape == (2, 32)
-        for i, q in enumerate(basis.moduli[:2]):
-            assert out[i].tolist() == [y % q for y in ys]
+        for i, q in enumerate(moduli[:2]):
+            assert out[i].tolist() == [y % q for y in ys[0]]
+
+    def test_exact_multiple_on_digit_batch(self):
+        """A ``(P, G, N)`` batch with ``G == P - 1``: every polynomial of
+        the batch divides exactly and matches its own 2-D divide (the
+        former row rescale broadcast its per-prime column over ``G``)."""
+        moduli = PRIMES[:4]
+        q_last = moduli[-1]
+        rnd = random.Random(6)
+        sub_product = moduli[0] * moduli[1] * moduli[2]
+        ys = [[rnd.randrange(sub_product) for _ in range(16)]
+              for _ in range(3)]
+        xs = [[y * q_last for y in row] for row in ys]
+        batch = _rows(xs, moduli)
+        assert batch.shape == (4, 3, 16)
+        out = self._rescale(batch, moduli)
+        assert out.shape == (3, 3, 16)
+        for g in range(3):
+            assert np.array_equal(out[:, g],
+                                  self._rescale(batch[:, g], moduli))
+            for i, q in enumerate(moduli[:3]):
+                assert out[i, g].tolist() == [y % q for y in ys[g]]
 
     def test_refuses_single_modulus(self):
-        basis = RNSBasis(PRIMES[:1])
         with pytest.raises(ValueError):
-            rescale_rows(np.zeros((1, 4), dtype=np.uint64), basis)
+            mod_down_eval(np.zeros((1, 16), dtype=np.uint64),
+                          RNSBasis(PRIMES[:1]), RNSBasis(PRIMES[1:2]))
+        with pytest.raises(ValueError):
+            RNSBasis(())
 
     def test_shape_validation(self):
-        basis = RNSBasis(PRIMES[:3])
         with pytest.raises(ValueError):
-            rescale_rows(np.zeros((2, 4), dtype=np.uint64), basis)
+            mod_down_eval(np.zeros((2, 16), dtype=np.uint64),
+                          RNSBasis(PRIMES[:2]), RNSBasis(PRIMES[2:3]))
 
 
 class TestDigitPartition:
