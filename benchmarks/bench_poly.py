@@ -8,11 +8,15 @@ verbatim) against the batched ``(num_primes, N)`` engine for the op mix
 that dominates homomorphic workloads: HADD/HSUB-style element-wise ops,
 eval-domain Hadamard products, and forward/inverse negacyclic NTTs.
 
+The batched ``ntt``/``intt`` columns time the stacked Shoup kernel
+(:func:`repro.ntt.stacked_negacyclic_ntt`), the transform that
+``RnsPoly.to_eval``/``to_coeff`` run.
+
 A second section times the hot kernels **per compute backend** (numpy
-reference, numba when importable, cupy when importable — see
-``repro.backend``): stacked NTT/INTT, the key-switch ``wide_dot`` inner
-product, and a full ``keyswitch`` call, with every accelerated backend's
-output asserted bit-identical to numpy before it is timed.
+reference, numba when importable — see ``repro.backend``): stacked
+NTT/INTT, the key-switch ``wide_dot`` inner product, and a full
+``keyswitch`` call, with every accelerated backend's output asserted
+bit-identical to numpy before it is timed.
 
 Run::
 
@@ -43,15 +47,10 @@ from repro.ckks.keyswitch import keyswitch
 from repro.ckks.ks_common import wide_dot
 from repro.ckks.poly import RnsPoly, get_reducer
 from repro.ntt import (
-    batched_negacyclic_intt,
-    batched_negacyclic_ntt,
+    get_shoup_stack,
     get_tables,
-    get_twiddle_stack,
     negacyclic_intt,
     negacyclic_ntt,
-)
-from repro.ntt.stacked import (
-    get_shoup_stack,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
@@ -121,7 +120,7 @@ def bench_config(n, num_primes, reps, rng):
                   for q in moduli])
     b = np.stack([rng.integers(0, q, size=n, dtype=np.uint64)
                   for q in moduli])
-    stack = get_twiddle_stack(moduli, n)
+    stack = get_shoup_stack(moduli, n)
     batch = BatchBarrettReducer(moduli)
 
     ops = {
@@ -132,9 +131,9 @@ def bench_config(n, num_primes, reps, rng):
         "mul": (lambda: loop_mul(a, b, moduli),
                 lambda: batch.mul_mat(a, b)),
         "ntt": (lambda: loop_ntt(a, moduli, n),
-                lambda: batched_negacyclic_ntt(a, stack)),
+                lambda: stacked_negacyclic_ntt(a, stack)),
         "intt": (lambda: loop_intt(a, moduli, n),
-                 lambda: batched_negacyclic_intt(a, stack)),
+                 lambda: stacked_negacyclic_intt(a, stack)),
     }
 
     result = {"n": n, "num_primes": num_primes, "ops": {}}

@@ -1,14 +1,14 @@
 """Pluggable array-ops backends for the RNS/NTT hot path.
 
 Every batched kernel the profiler ranks hot — elementwise modular
-arithmetic, the Barrett/Montgomery reduce chains, the stacked Shoup
+arithmetic, the Barrett-range reductions, the stacked Shoup
 NTT/INTT sweeps, and the key-switch ``wide_dot`` inner product — is
 expressed once against the :class:`ArrayBackend` interface and routed
 through :func:`active_backend`. Selection, in priority order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call;
 2. the ``REPRO_BACKEND`` environment variable (``numpy`` | ``numba`` |
-   ``cupy`` | ``auto``);
+   ``auto``);
 3. the numpy reference backend.
 
 Optional backends are probed lazily; an unavailable or

@@ -1,25 +1,22 @@
 """Array-ops backend interface and selection machinery.
 
 The batched RNS engine's hot kernels — row-wise modular arithmetic,
-Barrett/Montgomery reduce chains, the stacked Shoup NTT/INTT butterfly
+Barrett-range reductions, the stacked Shoup NTT/INTT butterfly
 sweeps and the key-switch wide-accumulator inner product — are all
 *array programs*: dense passes over ``(num_primes, ...)`` uint64 tensors
 with per-row constants. This module defines the small interface those
 programs are written against, so the whole hot path can switch between
 
-* the **numpy** reference backend (always available, the default),
+* the **numpy** reference backend (always available, the default), and
 * a **numba** backend that JIT-fuses the reduce chains, butterfly sweeps
   and ``wide_dot`` into single compiled kernels (LibFHE shows CUDA-Python
-  FHE via Numba is viable for exactly these kernel shapes), and
-* a **cupy** scaffolding backend that moves the elementwise passes onto
-  a GPU device (the WarpDrive target; unoptimized placeholder),
+  FHE via Numba is viable for exactly these kernel shapes),
 
 with one environment variable (``REPRO_BACKEND``) or one call
 (:func:`set_backend`). Optional backends import lazily and *gracefully*:
 a requested backend that is not importable, or that fails its
 bit-exactness self-check against numpy, falls back to numpy with a
-single warning — no code path in this library may hard-require numba or
-cupy.
+single warning — no code path in this library may hard-require numba.
 
 Contract
 --------
@@ -45,14 +42,14 @@ import numpy as np
 from ..analysis.annotations import bounded
 
 #: Environment variable naming the backend to use (read once, at first
-#: :func:`active_backend` call): ``numpy`` | ``numba`` | ``cupy`` |
-#: ``auto``. ``auto`` picks the first available of cupy > numba > numpy.
+#: :func:`active_backend` call): ``numpy`` | ``numba`` | ``auto``.
+#: ``auto`` picks the first available of numba > numpy.
 #: Deprecated: prefer the declared ``backend`` knob in ``repro.tuning``
 #: (the env var stays honored as that knob's default source).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Selection order tried by ``auto`` (most to least accelerated).
-AUTO_ORDER = ("cupy", "numba", "numpy")
+AUTO_ORDER = ("numba", "numpy")
 
 # -- declared tuning knobs (DESIGN.md §14) ----------------------------------
 
@@ -73,10 +70,10 @@ def _backend_default() -> str:
 
 register_knob(KnobSpec(
     name="backend", layer="backend",
-    domain=Choice(("auto", "numpy", "numba", "cupy")),
+    domain=Choice(("auto", "numpy", "numba")),
     default_factory=_backend_default,
     doc="Array-ops backend the functional engine dispatches through "
-        "(``auto`` takes the first available of cupy > numba > numpy).",
+        "(``auto`` takes the first available of numba > numpy).",
     observe=lambda pipe: pipe.backend,
 ))
 
@@ -89,7 +86,7 @@ class ArrayBackend:
     """Abstract array-ops backend.
 
     All array arguments are uint64 with the prime index on axis 0;
-    per-row constants (``q``, ``qinv``) arrive as 1-D ``(num_primes,)``
+    per-row moduli ``q`` arrive as 1-D ``(num_primes,)``
     uint64 arrays. Methods must return canonical residues (``< q`` per
     row) and never mutate their inputs unless documented otherwise.
     """
@@ -127,22 +124,6 @@ class ArrayBackend:
                 q: np.ndarray) -> np.ndarray:
         """Row-wise ``a * b mod q_i`` for entries below ``q_i``; operands
         broadcast against each other (numpy rules)."""
-        raise NotImplementedError
-
-    # ---- Montgomery (REDC) chains ---------------------------------------
-
-    @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
-    def montgomery_reduce(self, t: np.ndarray, q: np.ndarray,
-                          qinv: np.ndarray) -> np.ndarray:
-        """Row-wise REDC ``t * R^{-1} mod q_i`` for ``t < q_i * 2**32``;
-        ``qinv`` holds ``-q_i^{-1} mod 2**32``."""
-        raise NotImplementedError
-
-    @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
-    def montgomery_mul(self, a: np.ndarray, b: np.ndarray, q: np.ndarray,
-                       qinv: np.ndarray) -> np.ndarray:
-        """Row-wise Montgomery product (entries below ``q_i``); operands
-        broadcast against each other."""
         raise NotImplementedError
 
     # ---- fused transform kernels ----------------------------------------
@@ -198,11 +179,6 @@ class ArrayBackend:
         # so the ShoupStack checks below can build real twiddle tables.
         moduli = np.array([1073741441, 1073739649, 1073738753],
                           dtype=np.uint64)
-        radix = 1 << 32
-        qinv = np.array(
-            [(-pow(int(q), -1, radix)) % radix for q in moduli],
-            dtype=np.uint64,
-        )
         n = 64
         a = np.stack([rng.integers(0, q, size=n, dtype=np.uint64)
                       for q in moduli])
@@ -210,18 +186,12 @@ class ArrayBackend:
                       for q in moduli])
         t = np.stack([rng.integers(0, int(q) * int(q), size=n,
                                    dtype=np.uint64) for q in moduli])
-        tm = np.stack([rng.integers(0, int(q) * radix, size=n,
-                                    dtype=np.uint64) for q in moduli])
         checks = [
             ("mod_add", lambda be: be.mod_add(a, b, moduli)),
             ("mod_sub", lambda be: be.mod_sub(a, b, moduli)),
             ("mod_neg", lambda be: be.mod_neg(a, moduli)),
             ("mod_reduce", lambda be: be.mod_reduce(t, moduli)),
             ("mod_mul", lambda be: be.mod_mul(a, b, moduli)),
-            ("montgomery_reduce",
-             lambda be: be.montgomery_reduce(tm, moduli, qinv)),
-            ("montgomery_mul",
-             lambda be: be.montgomery_mul(a, b, moduli, qinv)),
         ]
         # NTT checks need a ShoupStack; import lazily (repro.ntt imports
         # this package, so the import must not run at module load).
@@ -275,18 +245,9 @@ def _make_numba() -> ArrayBackend:
     return NumbaBackend()
 
 
-def _make_cupy() -> ArrayBackend:
-    if importlib.util.find_spec("cupy") is None:
-        raise BackendUnavailable("cupy is not importable")
-    from .cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": _make_numpy,
     "numba": _make_numba,
-    "cupy": _make_cupy,
 }
 
 _active: Optional[ArrayBackend] = None
@@ -303,7 +264,6 @@ def available_backends() -> Dict[str, bool]:
     return {
         "numpy": True,
         "numba": importlib.util.find_spec("numba") is not None,
-        "cupy": importlib.util.find_spec("cupy") is not None,
     }
 
 

@@ -7,8 +7,8 @@ nest parallelized over the prime rows — the shape LibFHE (PAPERS.md)
 demonstrates for CUDA-Python FHE kernels, here on the CPU threading
 layer:
 
-* the Barrett/Montgomery **reduce chains** become one in-place pass per
-  product (hardware 64-bit division / the REDC sequence per lane);
+* the Barrett-range **reduce chains** become one in-place pass per
+  product (hardware 64-bit division per lane);
 * the stacked **NTT/INTT butterfly sweeps** run pre-twist, every radix-2
   stage and the final canonicalization in a single kernel — no per-stage
   scratch traffic at all;
@@ -49,22 +49,6 @@ def _reduce_rows(t, q):  # pragma: no cover - requires numba
         qi = q[i]
         for j in range(n):
             t[i, j] = t[i, j] % qi
-
-
-@njit(parallel=True, cache=True)
-def _mont_reduce_rows(t, q, qinv):  # pragma: no cover - requires numba
-    """In-place row-wise REDC over a contiguous (rows, n) view."""
-    rows, n = t.shape
-    for i in prange(rows):
-        qi = q[i]
-        qinvi = qinv[i]
-        for j in range(n):
-            tt = t[i, j]
-            m = ((tt & _MASK) * qinvi) & _MASK
-            r = (tt + m * qi) >> _U32
-            if r >= qi:
-                r -= qi
-            t[i, j] = r
 
 
 @njit(parallel=True, cache=True)
@@ -208,21 +192,6 @@ class NumbaBackend(NumpyBackend):
         prod = a.astype(np.uint64, copy=False) * \
             b.astype(np.uint64, copy=False)  # fresh, contiguous
         _reduce_rows(prod.reshape(prod.shape[0], -1), q)
-        return prod
-
-    @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
-    def montgomery_reduce(self, t: np.ndarray, q: np.ndarray,
-                          qinv: np.ndarray) -> np.ndarray:
-        out = np.array(t, dtype=np.uint64, copy=True, order="C")
-        _mont_reduce_rows(out.reshape(out.shape[0], -1), q, qinv)
-        return out
-
-    @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
-    def montgomery_mul(self, a: np.ndarray, b: np.ndarray, q: np.ndarray,
-                       qinv: np.ndarray) -> np.ndarray:
-        prod = a.astype(np.uint64, copy=False) * \
-            b.astype(np.uint64, copy=False)
-        _mont_reduce_rows(prod.reshape(prod.shape[0], -1), q, qinv)
         return prod
 
     # ---- fused transforms ------------------------------------------------

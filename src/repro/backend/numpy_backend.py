@@ -33,7 +33,6 @@ from .base import ArrayBackend
 
 _U32 = np.uint64(32)
 _LO32 = np.uint64(0xFFFFFFFF)
-_RADIX_MASK = np.uint64((1 << 32) - 1)
 
 
 def _col(vec: np.ndarray, ndim: int) -> np.ndarray:
@@ -152,31 +151,6 @@ class NumpyBackend(ArrayBackend):
             b.astype(np.uint64, copy=False)
         np.remainder(prod, _col(q, prod.ndim), out=prod)
         return prod
-
-    # ---- Montgomery (REDC) chains ---------------------------------------
-
-    @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
-    def montgomery_reduce(self, t: np.ndarray, q: np.ndarray,
-                          qinv: np.ndarray) -> np.ndarray:
-        t = t.astype(np.uint64, copy=False)
-        q_c = _col(q, t.ndim)
-        qinv_c = _col(qinv, t.ndim)
-        m = t & _RADIX_MASK
-        np.multiply(m, qinv_c, out=m)
-        np.bitwise_and(m, _RADIX_MASK, out=m)
-        np.multiply(m, q_c, out=m)
-        np.add(m, t, out=m)
-        np.right_shift(m, _U32, out=m)
-        # min-trick conditional subtraction (m < 2q after the shift).
-        np.minimum(m, m - q_c, out=m)
-        return m
-
-    @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
-    def montgomery_mul(self, a: np.ndarray, b: np.ndarray, q: np.ndarray,
-                       qinv: np.ndarray) -> np.ndarray:
-        prod = a.astype(np.uint64, copy=False) * \
-            b.astype(np.uint64, copy=False)
-        return self.montgomery_reduce(prod, q, qinv)
 
     # ---- fused transform kernels ----------------------------------------
 

@@ -25,6 +25,7 @@ from ..ntt.stacked import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
+from ..ntt.tables import TABLE_CACHE_SIZE
 from ..numtheory.barrett import BatchBarrettReducer
 from ..numtheory.rns import RNSBasis, divide_by_special, mod_down_delta
 from .keys import KeySwitchKey
@@ -185,7 +186,7 @@ def mod_down_eval(x_eval: np.ndarray, main: RNSBasis, special: RNSBasis, *,
     return divide_by_special(x_eval[:n_main], delta_eval, main, special)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def eval_automorphism_table(exponent: int, n: int) -> np.ndarray:
     """Eval-domain gather table of ``X -> X^exponent`` (odd exponent).
 
@@ -203,3 +204,14 @@ def eval_automorphism_table(exponent: int, n: int) -> np.ndarray:
     src = src.astype(np.intp)
     src.setflags(write=False)
     return src
+
+
+def eval_automorphism_cache_stats() -> dict:
+    """Hit/miss counters of the eval-domain automorphism table cache."""
+    info = eval_automorphism_table.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "maxsize": info.maxsize,
+        "currsize": info.currsize,
+    }

@@ -2,12 +2,12 @@
 
 One context serves one ``(moduli, N)`` pair and owns the row-wise Barrett
 reducer (element-wise ciphertext arithmetic, §IV-A-4) plus the lazily
-built :class:`~repro.ntt.TwiddleStack` (domain conversions). This mirrors
+built :class:`~repro.ntt.ShoupStack` (domain conversions). This mirrors
 the paper's initialization phase (§IV-D-1): constants for the whole chain
 are precomputed once and every subsequent operation is a single dense pass
 over the ``(num_primes, N)`` residue matrix.
 
-The twiddle stack is lazy because arithmetic never needs it and not every
+The Shoup stack is lazy because arithmetic never needs it and not every
 basis is NTT-friendly — BFV's auxiliary bases, for instance, add and
 subtract in the coefficient domain only.
 
@@ -26,7 +26,6 @@ import numpy as np
 from ..analysis.annotations import bounded
 from ..ntt.stacked import ShoupStack, get_shoup_stack
 from ..ntt.tables import TABLE_CACHE_SIZE
-from ..ntt.twiddles import TwiddleStack, get_twiddle_stack
 from ..numtheory import BatchBarrettReducer
 
 
@@ -39,15 +38,7 @@ class RnsContext:
         self.barrett = BatchBarrettReducer(self.moduli)
         #: (num_primes, 1) modulus column for broadcast arithmetic.
         self.q_col = self.barrett.q_col(2)
-        self._twiddles: Optional[TwiddleStack] = None
         self._shoup: Optional[ShoupStack] = None
-
-    @property
-    def twiddles(self) -> TwiddleStack:
-        """The stacked NTT tables (built on first domain conversion)."""
-        if self._twiddles is None:
-            self._twiddles = get_twiddle_stack(self.moduli, self.n)
-        return self._twiddles
 
     @property
     def shoup(self) -> ShoupStack:
@@ -88,18 +79,21 @@ def all_cache_stats() -> dict:
     """Counters for every precompute cache the hot paths rely on.
 
     Keys: ``tables`` (per-prime NTT tables), ``reducers`` (per-prime
-    Barrett reducers), ``twiddle_stacks`` (batched tables), ``contexts``
-    (batched contexts). A homomorphic operation run twice must not
-    increase any ``misses`` on its second run — that is the zero
+    Barrett reducers), ``shoup_stacks`` (stacked-kernel NTT tables),
+    ``eval_automorphisms`` (eval-domain automorphism gathers),
+    ``contexts`` (batched contexts). A homomorphic operation run twice
+    must not increase any ``misses`` on its second run — that is the zero
     mid-op-recomputation invariant the cache-sizing fix restores.
     """
+    from ..ntt.stacked import shoup_stack_cache_stats
     from ..ntt.tables import table_cache_stats
-    from ..ntt.twiddles import twiddle_stack_cache_stats
+    from .ks_common import eval_automorphism_cache_stats
     from .poly import reducer_cache_stats
 
     return {
         "tables": table_cache_stats(),
         "reducers": reducer_cache_stats(),
-        "twiddle_stacks": twiddle_stack_cache_stats(),
+        "shoup_stacks": shoup_stack_cache_stats(),
+        "eval_automorphisms": eval_automorphism_cache_stats(),
         "contexts": rns_context_cache_stats(),
     }

@@ -13,12 +13,7 @@ from .costs import NttWorkCounts, plan_work_counts
 from .framework import FrameworkConfig, WarpDriveFramework
 from .kernels import DEFAULT_GEOMETRY, WORD_BYTES, GeometryConfig
 from .memory_pool import MemoryPool, max_working_set_bytes
-from .ntt_engine import (
-    VARIANTS,
-    WarpDriveNtt,
-    batched_rns_forward,
-    batched_rns_inverse,
-)
+from .ntt_engine import VARIANTS, WarpDriveNtt
 from .scheduler import HOMOMORPHIC_OPS, OperationScheduler
 from .warp_allocation import (
     WarpAllocation,
@@ -36,8 +31,6 @@ __all__ = [
     "NttWorkCounts",
     "OperationScheduler",
     "VARIANTS",
-    "batched_rns_forward",
-    "batched_rns_inverse",
     "WORD_BYTES",
     "WarpAllocation",
     "WarpDriveFramework",

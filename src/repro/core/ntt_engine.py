@@ -12,6 +12,9 @@
 
 Each variant provides (a) a *functional* executor (bit-exact, via
 :mod:`repro.ntt`) and (b) a *kernel plan* priced by the GPU simulator.
+The executors are per-polynomial checks of the variants' leaf engines;
+the CKKS layer's batched domain conversions run the stacked Shoup kernel
+(:func:`repro.ntt.stacked_negacyclic_ntt`) instead.
 Geometry follows §IV-D-2 (T=256, N_t=8, single kernel when the polynomial
 fits shared memory, dual kernel otherwise).
 """
@@ -28,10 +31,7 @@ from ..gpusim import A100_PCIE_80G, ExecutionResult, GpuSpec, KernelSpec, run_se
 from ..ntt import (
     HierarchicalNtt,
     NttTables,
-    batched_negacyclic_intt,
-    batched_negacyclic_ntt,
     build_plan,
-    get_twiddle_stack,
 )
 from . import costs
 from .kernels import DEFAULT_GEOMETRY, WORD_BYTES, GeometryConfig
@@ -51,21 +51,6 @@ register_knob(KnobSpec(
     observe=lambda pipe: pipe.scheduler.ntt.variant,
 ))
 
-
-def batched_rns_forward(data: np.ndarray, moduli, n: int) -> np.ndarray:
-    """Batched fast-NTT entry point: forward-transform every residue row
-    of a ``(num_primes, N)`` matrix in one vectorized pass.
-
-    Every WarpDrive variant routes through this kernel on the functional
-    side — the variants are bit-identical in output and differ only in the
-    kernel plans the simulator prices.
-    """
-    return batched_negacyclic_ntt(data, get_twiddle_stack(tuple(moduli), n))
-
-
-def batched_rns_inverse(data: np.ndarray, moduli, n: int) -> np.ndarray:
-    """Batched inverse counterpart of :func:`batched_rns_forward`."""
-    return batched_negacyclic_intt(data, get_twiddle_stack(tuple(moduli), n))
 
 #: Functional leaf engine per variant (fused variants verify via tensor —
 #: all engines are bit-identical, see tests).
@@ -172,23 +157,6 @@ class WarpDriveNtt:
 
     def inverse(self, x: np.ndarray, tables: NttTables) -> np.ndarray:
         return self.executor(tables).inverse(x)
-
-    # -- batched RNS execution ---------------------------------------------------
-    #
-    # All functional variants are bit-identical (the leaf engines differ
-    # only in *how* they are priced, not in what they compute — see
-    # tests/ntt), so every variant routes its whole-polynomial fast path
-    # through one vectorized kernel over the ``(num_primes, N)`` residue
-    # matrix. This is the entry point the CKKS layer's RnsPoly conversions
-    # share with the simulator-facing variants.
-
-    def forward_rns(self, data: np.ndarray, moduli) -> np.ndarray:
-        """Forward negacyclic NTT of a full ``(num_primes, N)`` matrix."""
-        return batched_rns_forward(data, moduli, self.n)
-
-    def inverse_rns(self, data: np.ndarray, moduli) -> np.ndarray:
-        """Inverse negacyclic NTT of a full ``(num_primes, N)`` matrix."""
-        return batched_rns_inverse(data, moduli, self.n)
 
     # -- performance layer -----------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """NTT algorithm suite: every transform strategy the paper discusses.
 
 - :mod:`.reference` — O(N^2) ground truth;
-- :mod:`.radix2` — iterative Cooley-Tukey workhorse;
+- :mod:`.radix2` — iterative Cooley-Tukey transform of one prime's rows
+  (the per-row reference for the stacked kernel);
+- :mod:`.stacked` — the batched RNS engine: one Shoup-multiplication
+  transform over a whole ``(num_primes, [digits,] N)`` residue tensor, the
+  only batched NTT the library runs;
 - :mod:`.fourstep` — single-level 4-step (Eq. 2);
 - :mod:`.decompose` / :mod:`.hierarchical` — WarpDrive's multi-level
   decomposition (Fig. 2, Table IV) with pluggable leaf engines;
@@ -40,14 +44,6 @@ from .stacked import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
-from .twiddles import (
-    TwiddleStack,
-    batched_cyclic_ntt,
-    batched_negacyclic_intt,
-    batched_negacyclic_ntt,
-    get_twiddle_stack,
-    twiddle_stack_cache_stats,
-)
 from .reference import (
     cyclic_convolution,
     negacyclic_convolution,
@@ -74,11 +70,7 @@ __all__ = [
     "SUPPORTED_RADICES",
     "ShoupStack",
     "TABLE_CACHE_SIZE",
-    "TwiddleStack",
     "apply_automorphism",
-    "batched_cyclic_ntt",
-    "batched_negacyclic_intt",
-    "batched_negacyclic_ntt",
     "bitsplit_matmul_mod",
     "build_plan",
     "butterfly_inner_ntt",
@@ -92,7 +84,6 @@ __all__ = [
     "gemm_inner_ntt",
     "get_shoup_stack",
     "get_tables",
-    "get_twiddle_stack",
     "matmul_mod_uint32",
     "negacyclic_convolution",
     "negacyclic_intt",
@@ -111,5 +102,4 @@ __all__ = [
     "stacked_negacyclic_ntt",
     "table_cache_stats",
     "table_iv_rows",
-    "twiddle_stack_cache_stats",
 ]

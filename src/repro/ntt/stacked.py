@@ -6,8 +6,8 @@ needs all ``dnum * num_primes`` rows transformed in one pass, the way
 WarpDrive's PE kernels consume the digit dimension as ciphertext-level
 parallelism (§IV-C) rather than launching per-digit transforms serially.
 
-Two things distinguish this kernel from the per-polynomial
-:func:`~repro.ntt.twiddles.batched_negacyclic_ntt`:
+Two things distinguish this kernel from the per-prime Montgomery-domain
+:func:`~repro.ntt.radix2.negacyclic_ntt`:
 
 * **Shoup multiplication with lazy (Harvey-style) reduction.** Twiddles
   are constant per stage, so each carries a precomputed companion
@@ -21,8 +21,10 @@ Two things distinguish this kernel from the per-polynomial
   contiguous run of ``G`` lanes at every stage — the strided access that
   dominates a radix-2 sweep becomes unit-stride over the batch.
 
-Outputs are canonical (``< q``) and bit-identical to running the
-Montgomery-domain batched kernel row by row (regression-tested).
+Outputs are canonical (``< q``) and bit-identical to running
+:func:`~repro.ntt.radix2.negacyclic_ntt` / ``negacyclic_intt`` row by row
+and to the O(N^2) :mod:`~repro.ntt.reference` transforms
+(regression-tested).
 
 Lazy inputs: the forward transform accepts any representatives below
 ``2**32`` (the Shoup pre-twist reduces them into ``[0, 2q)``), which lets

@@ -20,7 +20,7 @@ from .modmath import (
     primitive_root,
     root_of_unity,
 )
-from .montgomery import BatchMontgomeryReducer, MontgomeryReducer
+from .montgomery import MontgomeryReducer
 from .primes import (
     MAX_MODULUS_BITS,
     PrimeChain,
@@ -39,7 +39,6 @@ from .rns import (
 __all__ = [
     "BarrettReducer",
     "BatchBarrettReducer",
-    "BatchMontgomeryReducer",
     "CRTReconstructor",
     "KARATSUBA_COST",
     "MAX_MODULUS_BITS",

@@ -3,8 +3,8 @@
 The paper (§IV-A-4) converts NTT twiddle factors to the Montgomery domain
 ahead of time — the domain conversion of one operand is then free, and
 Montgomery reduction beats Barrett by about 10% inside the NTT. This module
-provides both a scalar reference and the vectorized numpy form used by every
-NTT hot path in this library.
+provides both a scalar reference and the vectorized numpy form used by the
+per-prime transforms (:mod:`repro.ntt.radix2`, the hierarchical engines).
 
 All moduli must be odd and below 2**31 (see :mod:`repro.numtheory.primes`);
 under that bound every intermediate fits a uint64 lane:
@@ -17,7 +17,6 @@ import numpy as np
 
 from ..analysis.annotations import (bounded, montgomery_domain,
                                     standard_domain, takes_domain)
-from ..backend import active_backend
 from .modmath import modinv
 
 #: Montgomery radix: one 32-bit GPU word.
@@ -108,75 +107,3 @@ class MontgomeryReducer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MontgomeryReducer(q={self.modulus})"
 
-
-class BatchMontgomeryReducer:
-    """Montgomery arithmetic over a stack of moduli, one per matrix row.
-
-    The batched counterpart of :class:`MontgomeryReducer`: per-row REDC
-    constants are held as broadcastable arrays so the whole
-    ``(num_primes, N)`` residue matrix of an RNS polynomial — or any
-    higher-rank view with the prime index on axis 0 — reduces in one numpy
-    expression. Elementwise the uint64 sequence is exactly the scalar
-    class's, so results are bit-identical to a per-row Python loop.
-    """
-
-    def __init__(self, moduli):
-        self.moduli = tuple(moduli)
-        if not self.moduli:
-            raise ValueError("batch reducer needs at least one modulus")
-        for q in self.moduli:
-            if q % 2 == 0:
-                raise ValueError("Montgomery reduction requires odd moduli")
-            if not 2 < q < (1 << 31):
-                raise ValueError(
-                    f"modulus must lie in (2, 2**31), got {q}"
-                )
-        q_neg_inv = [(-modinv(q, RADIX)) % RADIX for q in self.moduli]
-        r2 = [((RADIX % q) * (RADIX % q)) % q for q in self.moduli]
-        self._q = np.array(self.moduli, dtype=np.uint64)
-        self._qinv = np.array(q_neg_inv, dtype=np.uint64)
-        self._r2 = np.array(r2, dtype=np.uint64)
-
-    def __len__(self) -> int:
-        return len(self.moduli)
-
-    def _col(self, vec: np.ndarray, ndim: int) -> np.ndarray:
-        return vec.reshape((-1,) + (1,) * (ndim - 1))
-
-    @bounded(assume=True, out_q=1)
-    def q_col(self, ndim: int = 2) -> np.ndarray:
-        """The modulus vector shaped to broadcast against ``ndim``-D
-        arrays with the prime index on axis 0."""
-        return self._col(self._q, ndim)
-
-    @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
-    def reduce_mat(self, t: np.ndarray) -> np.ndarray:
-        """Row-wise REDC for uint64 entries below ``q_i * R``.
-
-        The REDC sequence lives in the active backend
-        (:mod:`repro.backend`); every backend is bit-identical to
-        :meth:`MontgomeryReducer.reduce_vec` with the row's constants.
-        """
-        return active_backend().montgomery_reduce(t, self._q, self._qinv)
-
-    @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
-    def mul_mat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise Montgomery product (entries below ``q_i``)."""
-        return active_backend().montgomery_mul(a, b, self._q, self._qinv)
-
-    @montgomery_domain
-    @bounded(assume=True, params={"a": {"q": 1}}, out_q=1)
-    def to_montgomery_mat(self, a: np.ndarray) -> np.ndarray:
-        """Row-wise domain entry: ``a * R mod q_i``."""
-        a = a.astype(np.uint64, copy=False)
-        return self.reduce_mat(a * self._col(self._r2, a.ndim))
-
-    @standard_domain
-    @takes_domain(a_mont="montgomery")
-    @bounded(assume=True, params={"a_mont": {"q": 1}}, out_q=1)
-    def from_montgomery_mat(self, a_mont: np.ndarray) -> np.ndarray:
-        """Row-wise domain exit."""
-        return self.reduce_mat(a_mont.astype(np.uint64, copy=False))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BatchMontgomeryReducer(L={len(self.moduli)})"

@@ -3,8 +3,7 @@ accelerated backends.
 
 Every property here asserts *exact* uint64 equality: the backend contract
 is canonical-value equality, not numerical closeness. The numba module is
-skipped cleanly when numba is not importable (the CI numpy-only leg), and
-likewise for cupy.
+skipped cleanly when numba is not importable (the CI numpy-only leg).
 """
 
 import importlib.util
@@ -22,14 +21,11 @@ from repro.ntt.stacked import (
 )
 from repro.numtheory import find_ntt_primes
 from repro.numtheory.barrett import BatchBarrettReducer
-from repro.numtheory.montgomery import BatchMontgomeryReducer
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-HAVE_CUPY = importlib.util.find_spec("cupy") is not None
 
 N = 128
 MODULI = tuple(find_ntt_primes(3, 30, N))
-RADIX = 1 << 32
 
 
 def _rng():
@@ -77,20 +73,6 @@ class BackendParitySuite:
             with use_backend(backend):
                 got = getattr(red, op)(*args)
             np.testing.assert_array_equal(got, ref[op], err_msg=op)
-
-    def test_montgomery_ops_match(self, backend):
-        rng = _rng()
-        red = BatchMontgomeryReducer(MODULI)
-        a, b = _residues(rng), _residues(rng)
-        t = np.stack([rng.integers(0, int(q) * RADIX, size=N,
-                                   dtype=np.uint64) for q in MODULI])
-        for op, args in [("reduce_mat", (t,)), ("mul_mat", (a, b)),
-                         ("to_montgomery_mat", (a,)),
-                         ("from_montgomery_mat", (a,))]:
-            want = getattr(red, op)(*args)
-            with use_backend(backend):
-                got = getattr(red, op)(*args)
-            np.testing.assert_array_equal(got, want, err_msg=op)
 
     # ---- stacked transforms --------------------------------------------
 
@@ -189,8 +171,3 @@ class BackendParitySuite:
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 class TestNumbaParity(BackendParitySuite):
     backend_name = "numba"
-
-
-@pytest.mark.skipif(not HAVE_CUPY, reason="cupy not importable")
-class TestCupyParity(BackendParitySuite):
-    backend_name = "cupy"

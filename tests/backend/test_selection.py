@@ -36,7 +36,7 @@ def test_default_backend_is_numpy():
 def test_numpy_always_available():
     avail = available_backends()
     assert avail["numpy"] is True
-    assert set(avail) == {"numpy", "numba", "cupy"}
+    assert set(avail) == {"numpy", "numba"}
 
 
 def test_env_var_selects_backend():
@@ -131,8 +131,6 @@ def test_interface_methods_are_abstract():
         lambda: be.mod_neg(a, q),
         lambda: be.mod_reduce(a, q),
         lambda: be.mod_mul(a, a, q),
-        lambda: be.montgomery_reduce(a, q, q),
-        lambda: be.montgomery_mul(a, a, q, q),
         lambda: be.ntt_forward(a, None),
         lambda: be.ntt_inverse(a, None),
         lambda: be.wide_dot(a, a, q),

@@ -4,7 +4,7 @@ plus the unified cache-sizing / zero-recomputation invariants."""
 import numpy as np
 
 from repro.ckks import all_cache_stats
-from repro.ckks.ks_common import mod_down_eval
+from repro.ckks.ks_common import eval_automorphism_table, mod_down_eval
 from repro.ckks.poly import COEFF, EVAL, RnsPoly, get_reducer
 from repro.ntt import TABLE_CACHE_SIZE, get_tables, negacyclic_intt, negacyclic_ntt
 from repro.ntt.negacyclic import apply_automorphism
@@ -116,8 +116,9 @@ class TestCacheSizing:
             ])
             a = RnsPoly(data, deep_moduli)
             prod = a.to_eval() * a.to_eval()
+            rotated = prod.data[:, eval_automorphism_table(5, n)]
             lowered = mod_down_eval(
-                prod.data, RNSBasis(deep_moduli[:-2]),
+                rotated, RNSBasis(deep_moduli[:-2]),
                 RNSBasis(deep_moduli[-2:]),
             )
             return RnsPoly(lowered, deep_moduli[:-2], EVAL) \

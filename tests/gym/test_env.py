@@ -103,7 +103,7 @@ def test_trajectory_logs_backend_and_base_knobs():
     under."""
     env = TuningEnv("op:hmult")
     d = env.trajectory.to_dict()
-    assert d["base"]["backend"] in ("auto", "numpy", "numba", "cupy")
+    assert d["base"]["backend"] in ("auto", "numpy", "numba")
     assert d["base"]["params.set"] == "SET-C"
     assert "ntt.variant" not in d["base"]  # searched, logged per point
     env.reset(seed=2)

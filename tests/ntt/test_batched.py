@@ -1,7 +1,7 @@
 """Property-style bit-exactness suite for the batched RNS engine.
 
-The batched ``(num_primes, N)`` path must agree *bit-for-bit* with the
-historical per-row path, with every hierarchical NTT variant, and with the
+The stacked ``(num_primes, N)`` kernel must agree *bit-for-bit* with the
+per-row radix-2 path, with every hierarchical NTT variant, and with the
 O(N^2) reference transforms — on at least 100 seeded random inputs per
 ``(N, q)`` configuration.
 """
@@ -9,21 +9,18 @@ O(N^2) reference transforms — on at least 100 seeded random inputs per
 import numpy as np
 import pytest
 
-from repro.core.ntt_engine import batched_rns_forward, batched_rns_inverse
 from repro.ntt import (
     LEAF_ENGINES,
     HierarchicalNtt,
-    batched_cyclic_ntt,
-    batched_negacyclic_intt,
-    batched_negacyclic_ntt,
+    get_shoup_stack,
     get_tables,
-    get_twiddle_stack,
     negacyclic_intt,
     negacyclic_ntt,
     reference_negacyclic_intt,
     reference_negacyclic_ntt,
+    stacked_negacyclic_intt,
+    stacked_negacyclic_ntt,
 )
-from repro.ntt.radix2 import cyclic_ntt
 from repro.numtheory import find_ntt_primes
 
 NUM_SEEDS = 100
@@ -41,12 +38,12 @@ class TestBatchedVsReference:
     @pytest.mark.parametrize("n", [16, 32])
     def test_forward_and_inverse_match_reference(self, n):
         moduli = tuple(find_ntt_primes(3, 28, n))
-        stack = get_twiddle_stack(moduli, n)
+        stack = get_shoup_stack(moduli, n)
         for seed in range(NUM_SEEDS):
             rng = np.random.default_rng(seed)
             data = rand_matrix(moduli, n, rng)
-            fwd = batched_negacyclic_ntt(data, stack)
-            inv = batched_negacyclic_intt(fwd, stack)
+            fwd = stacked_negacyclic_ntt(data, stack)
+            inv = stacked_negacyclic_intt(fwd, stack)
             for i, q in enumerate(moduli):
                 tables = get_tables(q, n)
                 assert np.array_equal(
@@ -64,47 +61,23 @@ class TestBatchedVsPerRow:
     @pytest.mark.parametrize("n", [64, 256])
     def test_negacyclic_roundtrip(self, n):
         moduli = tuple(find_ntt_primes(5, 28, n))
-        stack = get_twiddle_stack(moduli, n)
+        stack = get_shoup_stack(moduli, n)
         for seed in range(NUM_SEEDS):
             rng = np.random.default_rng(1000 + seed)
             data = rand_matrix(moduli, n, rng)
-            fwd = batched_negacyclic_ntt(data, stack)
+            fwd = stacked_negacyclic_ntt(data, stack)
             per_row = np.stack([
                 negacyclic_ntt(data[i], get_tables(q, n))
                 for i, q in enumerate(moduli)
             ])
             assert np.array_equal(fwd, per_row), f"seed {seed}"
-            inv = batched_negacyclic_intt(fwd, stack)
+            inv = stacked_negacyclic_intt(fwd, stack)
             per_row_inv = np.stack([
                 negacyclic_intt(fwd[i], get_tables(q, n))
                 for i, q in enumerate(moduli)
             ])
             assert np.array_equal(inv, per_row_inv)
             assert np.array_equal(inv, data)
-
-    def test_cyclic_core(self):
-        n = 128
-        moduli = tuple(find_ntt_primes(4, 28, n))
-        stack = get_twiddle_stack(moduli, n)
-        for seed in range(NUM_SEEDS):
-            rng = np.random.default_rng(2000 + seed)
-            data = rand_matrix(moduli, n, rng)
-            for inverse in (False, True):
-                batched = batched_cyclic_ntt(data, stack, inverse=inverse)
-                per_row = np.stack([
-                    cyclic_ntt(data[i], get_tables(q, n), inverse=inverse)
-                    for i, q in enumerate(moduli)
-                ])
-                assert np.array_equal(batched, per_row)
-
-    def test_shape_validation(self):
-        n = 64
-        moduli = tuple(find_ntt_primes(2, 28, n))
-        stack = get_twiddle_stack(moduli, n)
-        with pytest.raises(ValueError):
-            batched_cyclic_ntt(np.zeros((3, n), dtype=np.uint64), stack)
-        with pytest.raises(ValueError):
-            batched_cyclic_ntt(np.zeros((2, 2 * n), dtype=np.uint64), stack)
 
 
 class TestBatchedVsAllVariants:
@@ -114,7 +87,7 @@ class TestBatchedVsAllVariants:
     def test_variant_agreement(self, engine):
         n = 256
         moduli = tuple(find_ntt_primes(3, 28, n))
-        stack = get_twiddle_stack(moduli, n)
+        stack = get_shoup_stack(moduli, n)
         executors = [
             HierarchicalNtt(get_tables(q, n), leaf_engine=engine)
             for q in moduli
@@ -122,47 +95,14 @@ class TestBatchedVsAllVariants:
         for seed in range(20):
             rng = np.random.default_rng(3000 + seed)
             data = rand_matrix(moduli, n, rng)
-            fwd = batched_negacyclic_ntt(data, stack)
+            fwd = stacked_negacyclic_ntt(data, stack)
             variant = np.stack(
                 [ex.forward(data[i]) for i, ex in enumerate(executors)]
             )
             assert np.array_equal(fwd, variant), f"{engine}, seed {seed}"
-            inv = batched_negacyclic_intt(fwd, stack)
+            inv = stacked_negacyclic_intt(fwd, stack)
             variant_inv = np.stack(
                 [ex.inverse(fwd[i]) for i, ex in enumerate(executors)]
             )
             assert np.array_equal(inv, variant_inv)
 
-
-class TestCoreEntryPoint:
-    """The core-layer batched entry (shared by all WD variants) matches."""
-
-    def test_forward_inverse(self):
-        n = 128
-        moduli = tuple(find_ntt_primes(4, 28, n))
-        rng = np.random.default_rng(7)
-        data = rand_matrix(moduli, n, rng)
-        fwd = batched_rns_forward(data, moduli, n)
-        per_row = np.stack([
-            negacyclic_ntt(data[i], get_tables(q, n))
-            for i, q in enumerate(moduli)
-        ])
-        assert np.array_equal(fwd, per_row)
-        assert np.array_equal(batched_rns_inverse(fwd, moduli, n), data)
-
-    def test_warpdrive_ntt_methods(self):
-        from repro.core import WarpDriveNtt
-
-        n = 128
-        moduli = tuple(find_ntt_primes(3, 28, n))
-        rng = np.random.default_rng(8)
-        data = rand_matrix(moduli, n, rng)
-        for variant in ("wd-fuse", "wd-bo"):
-            eng = WarpDriveNtt(n, variant=variant)
-            fwd = eng.forward_rns(data, moduli)
-            assert np.array_equal(eng.inverse_rns(fwd, moduli), data)
-            per_row = np.stack([
-                negacyclic_ntt(data[i], get_tables(q, n))
-                for i, q in enumerate(moduli)
-            ])
-            assert np.array_equal(fwd, per_row)

@@ -6,8 +6,6 @@ import pytest
 from repro.numtheory import (
     BarrettReducer,
     BatchBarrettReducer,
-    BatchMontgomeryReducer,
-    MontgomeryReducer,
     find_ntt_primes,
 )
 
@@ -85,41 +83,3 @@ class TestBatchBarrett:
         with pytest.raises(ValueError):
             BatchBarrettReducer([1 << 31])
 
-
-class TestBatchMontgomery:
-    def test_matches_per_row(self):
-        batch = BatchMontgomeryReducer(MODULI)
-        rows = [MontgomeryReducer(q) for q in MODULI]
-        for seed in range(25):
-            rng = np.random.default_rng(100 + seed)
-            a = rand_rows(rng, MODULI)
-            b = rand_rows(rng, MODULI)
-            assert np.array_equal(
-                batch.to_montgomery_mat(a),
-                np.stack([
-                    r.to_montgomery_vec(a[i]) for i, r in enumerate(rows)
-                ]),
-            )
-            am = batch.to_montgomery_mat(a)
-            assert np.array_equal(
-                batch.mul_mat(am, b),
-                np.stack([r.mul_vec(am[i], b[i]) for i, r in enumerate(rows)]),
-            )
-            assert np.array_equal(
-                batch.from_montgomery_mat(am),
-                np.stack([
-                    r.from_montgomery_vec(am[i]) for i, r in enumerate(rows)
-                ]),
-            )
-
-    def test_domain_roundtrip(self):
-        batch = BatchMontgomeryReducer(MODULI)
-        rng = np.random.default_rng(3)
-        a = rand_rows(rng, MODULI)
-        assert np.array_equal(
-            batch.from_montgomery_mat(batch.to_montgomery_mat(a)), a
-        )
-
-    def test_rejects_even_modulus(self):
-        with pytest.raises(ValueError):
-            BatchMontgomeryReducer([MODULI[0], 1 << 20])
