@@ -34,7 +34,13 @@ import json
 import os
 import time
 
-import numpy as np
+# One BLAS thread, pinned as bench/run.py pins it: the numpy NTT runs as
+# dgemm, and a multithreaded BLAS sharing the host with another process
+# turns its timings into scheduler noise.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from repro.backend import (
     available_backends,

@@ -1,16 +1,17 @@
 """Array-ops backend interface and selection machinery.
 
 The batched RNS engine's hot kernels — row-wise modular arithmetic,
-Barrett-range reductions, the stacked Shoup NTT/INTT butterfly
-sweeps and the key-switch wide-accumulator inner product — are all
+Barrett-range reductions, the stacked NTT/INTT and the key-switch
+wide-accumulator inner product — are all
 *array programs*: dense passes over ``(num_primes, ...)`` uint64 tensors
 with per-row constants. This module defines the small interface those
 programs are written against, so the whole hot path can switch between
 
 * the **numpy** reference backend (always available, the default), and
-* a **numba** backend that JIT-fuses the reduce chains, butterfly sweeps
-  and ``wide_dot`` into single compiled kernels (LibFHE shows CUDA-Python
-  FHE via Numba is viable for exactly these kernel shapes),
+* a **numba** backend that JIT-fuses the reduce chains, radix-2 NTT
+  butterfly sweeps and ``wide_dot`` into single compiled kernels
+  (LibFHE shows CUDA-Python FHE via Numba is viable for exactly these
+  kernel shapes),
 
 with one environment variable (``REPRO_BACKEND``) or one call
 (:func:`set_backend`). Optional backends import lazily and *gracefully*:
@@ -135,10 +136,10 @@ class ArrayBackend:
         """Forward stacked negacyclic NTT of a ``(P, G, N)`` digit batch.
 
         ``stack`` is a :class:`repro.ntt.stacked.ShoupStack` (duck-typed:
-        only its table arrays are read). Accepts lazy inputs ``< 2**32``;
-        returns canonical values, or backend-specific lazy
-        representatives ``< 2q`` when ``lazy=True``. ``t_out`` returns
-        the digit-innermost ``(P, N, G)`` layout.
+        only its tables are read). Accepts lazy inputs ``< 2**32``;
+        returns canonical values, or (allowed, not required) backend-
+        specific lazy representatives ``< 2q`` when ``lazy=True``.
+        ``t_out`` returns the digit-innermost ``(P, N, G)`` layout.
         """
         raise NotImplementedError
 
@@ -215,6 +216,21 @@ class ArrayBackend:
                  np.ascontiguousarray(
                      np.stack([b, a], axis=1).transpose(0, 2, 1)),
                  moduli, lane_axis=-1)),
+        ]
+        # A non-square ring (n = 128 splits 8 x 16 in the GEMM four-step)
+        # at the input ceilings: lazy forward inputs at 2**32 - 1, inverse
+        # inputs at 2q - 1. Lazy outputs compare by residue.
+        from ..numtheory import find_ntt_primes
+
+        wide = get_shoup_stack(tuple(find_ntt_primes(3, 31, 128)), 128)
+        q_col = wide.q[:, None, None]
+        top = np.full((3, 2, 128), (1 << 32) - 1, dtype=np.uint64)
+        edge = np.broadcast_to(2 * q_col - 1, top.shape)
+        checks += [
+            ("ntt_forward_8x16_top",
+             lambda be: be.ntt_forward(top, wide, lazy=True) % q_col),
+            ("ntt_inverse_8x16_edge",
+             lambda be: be.ntt_inverse(edge, wide)),
         ]
         for label, fn in checks:
             got = np.asarray(fn(self))

@@ -200,12 +200,13 @@ class NumbaBackend(NumpyBackend):
              assume=True, params={"x": {"bits": 32}})
     def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
                     t_out: bool = False) -> np.ndarray:
+        tw = stack.shoup
         a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
+            x.astype(np.uint64, copy=False)[:, :, tw.perm]
             .transpose(0, 2, 1)
         )
-        _ntt_forward_rows(a, stack.psi_perm, stack.psi_perm_sh,
-                          stack.omega, stack.omega_sh, stack.q, lazy)
+        _ntt_forward_rows(a, tw.psi_perm, tw.psi_perm_sh,
+                          tw.omega, tw.omega_sh, stack.q, lazy)
         if t_out:
             return a
         return np.ascontiguousarray(a.transpose(0, 2, 1))
@@ -213,12 +214,13 @@ class NumbaBackend(NumpyBackend):
     @bounded(in_q=2, out_q=1, max_q_multiple=4, assume=True,
              params={"x": {"q": 2}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
+        tw = stack.shoup
         a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
+            x.astype(np.uint64, copy=False)[:, :, tw.perm]
             .transpose(0, 2, 1)
         )
-        _ntt_inverse_rows(a, stack.omega_inv, stack.omega_inv_sh,
-                          stack.psi_inv_scale, stack.psi_inv_scale_sh,
+        _ntt_inverse_rows(a, tw.omega_inv, tw.omega_inv_sh,
+                          tw.psi_inv_scale, tw.psi_inv_scale_sh,
                           stack.q)
         return np.ascontiguousarray(a.transpose(0, 2, 1))
 

@@ -19,9 +19,10 @@ elementwise hot path:
   is exact (``s - q`` wraps past ``2**63`` when ``s < q``) and runs as
   two unmasked passes — ~6x faster than the masked form at n=2048.
 
-The stacked Shoup NTT/INTT butterfly sweep moved here unchanged from
-``repro.ntt.stacked`` (PR 2); it keeps its checked ``@bounded``
-lazy-window contract.
+The stacked NTT/INTT is the paper's GEMM four-step (§IV-A/B): two
+exact float64 BLAS dgemms per (prime, digit) around a Shoup twiddle
+product. Its float core is ``assume=True``; exactness is derived by
+:func:`~repro.ntt.stacked.limb_split` and tested at worst-case inputs.
 """
 
 from __future__ import annotations
@@ -41,70 +42,84 @@ def _col(vec: np.ndarray, ndim: int) -> np.ndarray:
     return vec.reshape((-1,) + (1,) * (ndim - 1))
 
 
-@bounded(in_q=2, max_q_multiple=4, out_q=2,
-         params={"a": {"q": 2}, "omega": {"q": 1},
-                 "omega_sh": {"shoup": 32}, "q": {"modulus": True}})
-def _butterfly_stages(a: np.ndarray, omega: np.ndarray,
-                      omega_sh: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Radix-2 DIT sweep over axis 1 of ``a`` (shape ``(P, N, G)``,
-    bit-reversed input order, values ``< 2q``); natural order out, lazy
-    ``< 2q`` values. Mutates and returns ``a``.
+def _limbs(src: np.ndarray, limbs: int, width: int,
+           axis: int) -> np.ndarray:
+    """Float64 ``width``-bit limbs of ``src`` (uint64, ``< 2**32``),
+    least significant first along a new ``axis``."""
+    out = np.empty(src.shape[:axis] + (limbs,) + src.shape[axis:])
+    dst = np.moveaxis(out, axis, 0)
+    for limb in range(limbs):
+        part = src >> np.uint64(width * limb) if limb else src
+        dst[limb] = part & np.uint64((1 << width) - 1) \
+            if limb < limbs - 1 else part
+    return out
 
-    Every stage runs through four preallocated half-size scratch buffers
-    (reshaped per stage — each stage touches exactly ``P * N/2 * G``
-    elements) so the sweep performs zero allocations, and the difference
-    leg exploits uint64 wraparound: ``lo - hi`` either is already the
-    canonical-lazy value or wraps past ``2**63``, so ``min(d, d + 2q)``
-    folds the borrow in one pass instead of pre-biasing by ``2q``.
+
+def _shifted_residue(v: np.ndarray, q_f: np.ndarray) -> np.ndarray:
+    """In place ``v - (rint(v / q) - 1) * q`` for float64 integers with
+    ``|v| + 2q <= 2**53``: congruent, and within ``q/2 + 2`` of ``q``."""
+    c = v * (1.0 / q_f)
+    np.rint(c, out=c)
+    c -= 1.0
+    c *= q_f
+    v -= c
+    return v
+
+
+#: Input elements per tile of the GEMM four-step (1 MiB of uint64):
+#: a tile's limb and product buffers then stay near a per-core L2 cache
+#: instead of streaming ``(P, G, N)``-sized temporaries through memory.
+_TILE = 1 << 17
+
+
+def _four_step_tile(x: np.ndarray, tabs, rows: slice, q: np.ndarray,
+                    out: np.ndarray, t_out: bool) -> None:
+    """Transform the primes ``rows`` of a batch into ``out``, a
+    ``(P, G, N2, N1)`` or (``t_out``) ``(P, N2, N1, G)`` view."""
+    p, g, n = x.shape
+    n1, n2 = tabs.n1, tabs.n2
+    q_f = _col(q.astype(np.float64), 4)
+    a = _limbs(x.reshape(p, g, n1, n2), tabs.limbs1, tabs.width1, 2)
+    u = np.matmul(tabs.f1[rows, None], a.reshape(p, g, -1, n2))
+    u = _shifted_residue(u, q_f).astype(np.uint64)
+    t = u * tabs.t_sh[rows]
+    t >>= _U32
+    t *= _col(q, 4)
+    u *= tabs.t[rows]
+    u -= t
+    # Drop each step's buffers once consumed: they set peak memory.
+    del a, t
+    w = _limbs(u, tabs.limbs2, tabs.width2, 3).reshape(p, g, n1, -1)
+    del u
+    z = _shifted_residue(
+        np.matmul(tabs.f2[rows, None], w.transpose(0, 1, 3, 2)), q_f)
+    del w
+    out[...] = z.transpose(0, 2, 3, 1) if t_out else z
+    np.minimum(out, out - _col(q, 4), out=out)
+
+
+@bounded(assume=True, params={"x": {"bits": 32}}, out_q=1)
+def _gemm_four_step(x: np.ndarray, tabs, q: np.ndarray,
+                    t_out: bool) -> np.ndarray:
+    """Exact GEMM four-step of a ``(P, G, N)`` batch below ``2**32``
+    with one direction's :class:`~repro.ntt.stacked.GemmTables`:
+    canonical, natural order, ``(P, N, G)`` layout for ``t_out``.
+
+    Per (prime, digit), ``F1 @ X`` and ``F2 @ W.T`` are BLAS dgemms, so
+    the four-step's transpose rides in the GEMM. Their float sums are
+    exact (:func:`~repro.ntt.stacked.limb_split`); the first shifts into
+    ``[0, 2**32)`` for the Shoup twiddle product (``< 2q``), the second
+    into ``[0, 2q)`` for the min-trick. Primes run in tiles of about
+    ``_TILE`` input elements.
     """
-    num_primes, n, g = a.shape
-    q4 = q.reshape(-1, 1, 1, 1)
-    two_q = q4 + q4
-    half_elems = num_primes * (n // 2) * g
-    buf_v = np.empty(half_elems, dtype=np.uint64)
-    buf_t = np.empty(half_elems, dtype=np.uint64)
-    buf_s = np.empty(half_elems, dtype=np.uint64)
-    buf_d = np.empty(half_elems, dtype=np.uint64)
-    length = 2
-    while length <= n:
-        half = length // 2
-        shape = (num_primes, n // length, half, g)
-        view = a.reshape(num_primes, n // length, length, g)
-        lo = view[:, :, :half, :]
-        hi = view[:, :, half:, :]
-        s = buf_s.reshape(shape)
-        d = buf_d.reshape(shape)
-        if length == 2:
-            # The length-2 stage multiplies by omega^0 = 1: no mul, no copy.
-            np.add(lo, hi, out=s)
-            np.subtract(lo, hi, out=d)
-        else:
-            stride = n // length
-            w = omega[:, ::stride][:, :half].reshape(num_primes, 1, half, 1)
-            wsh = omega_sh[:, ::stride][:, :half].reshape(
-                num_primes, 1, half, 1
-            )
-            # Shoup lazy product: v ≡ hi*w (mod q), v < 2q for hi < 2**32.
-            v = buf_v.reshape(shape)
-            t = buf_t.reshape(shape)
-            np.multiply(hi, wsh, out=t)
-            t >>= _U32
-            t *= q4
-            np.multiply(hi, w, out=v)
-            v -= t
-            np.add(lo, v, out=s)
-            np.subtract(lo, v, out=d)
-        # Fold both legs into [0, 2q): s < 4q loses one conditional 2q; the
-        # wrapped d either is correct (< 2q) or recovers via + 2q.
-        t = buf_t.reshape(shape)
-        np.subtract(s, two_q, out=t)
-        np.minimum(s, t, out=s)
-        np.add(d, two_q, out=t)
-        np.minimum(d, t, out=d)
-        view[:, :, :half, :] = s
-        view[:, :, half:, :] = d
-        length *= 2
-    return a
+    p, g, n = x.shape
+    grid = (tabs.n2, tabs.n1)
+    out = np.empty((p, *grid, g) if t_out else (p, g, *grid), np.uint64)
+    step = max(1, _TILE // (g * n))
+    for lo in range(0, p, step):
+        rows = slice(lo, lo + step)
+        _four_step_tile(x[rows], tabs, rows, q[rows], out[rows], t_out)
+    return out.reshape(p, n, g) if t_out else out.reshape(p, g, n)
 
 
 class NumpyBackend(ArrayBackend):
@@ -154,65 +169,18 @@ class NumpyBackend(ArrayBackend):
 
     # ---- fused transform kernels ----------------------------------------
 
-    @bounded(in_bits=32, out_q=1, out_q_lazy=2, max_q_multiple=4,
-             params={"x": {"bits": 32},
-                     "stack.psi_perm": {"q": 1},
-                     "stack.psi_perm_sh": {"shoup": 32},
-                     "stack.omega": {"q": 1},
-                     "stack.omega_sh": {"shoup": 32},
-                     "stack.q": {"modulus": True}})
+    @bounded(assume=True, in_bits=32, out_q=1, out_q_lazy=2,
+             params={"x": {"bits": 32}})
     def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
                     t_out: bool = False) -> np.ndarray:
-        # Bit-reversal gather, then transpose to the digit-innermost
-        # layout so every butterfly slice is contiguous over the G lanes.
-        a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
-            .transpose(0, 2, 1)
-        )
-        q3 = stack.q.reshape(-1, 1, 1)
-        # Pre-twist by psi (permuted table) — also reduces lazy inputs
-        # to < 2q.
-        wt = stack.psi_perm[:, :, None]
-        wsh = stack.psi_perm_sh[:, :, None]
-        t = a * wsh
-        t >>= _U32
-        t *= q3
-        a *= wt
-        a -= t
-        a = _butterfly_stages(a, stack.omega, stack.omega_sh, stack.q)
-        if not lazy:
-            np.subtract(a, q3, out=t)  # canonicalize: < 2q -> < q
-            np.minimum(a, t, out=a)
-        if t_out:
-            return a
-        return np.ascontiguousarray(a.transpose(0, 2, 1))
+        # Always canonical: lazy=True permits, never requires, < 2q.
+        return _gemm_four_step(x.astype(np.uint64, copy=False),
+                               stack.forward, stack.q, t_out)
 
-    @bounded(in_q=2, out_q=1, max_q_multiple=4,
-             params={"x": {"q": 2},
-                     "stack.omega_inv": {"q": 1},
-                     "stack.omega_inv_sh": {"shoup": 32},
-                     "stack.psi_inv_scale": {"q": 1},
-                     "stack.psi_inv_scale_sh": {"shoup": 32},
-                     "stack.q": {"modulus": True}})
+    @bounded(assume=True, in_q=2, out_q=1, params={"x": {"q": 2}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
-        a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
-            .transpose(0, 2, 1)
-        )
-        a = _butterfly_stages(a, stack.omega_inv, stack.omega_inv_sh,
-                              stack.q)
-        q3 = stack.q.reshape(-1, 1, 1)
-        # Fused post-twist psi^{-j} * N^{-1}, then canonicalize.
-        wt = stack.psi_inv_scale[:, :, None]
-        wsh = stack.psi_inv_scale_sh[:, :, None]
-        t = a * wsh
-        t >>= _U32
-        t *= q3
-        a *= wt
-        a -= t
-        np.subtract(a, q3, out=t)
-        np.minimum(a, t, out=a)
-        return np.ascontiguousarray(a.transpose(0, 2, 1))
+        return _gemm_four_step(x.astype(np.uint64, copy=False),
+                               stack.inverse, stack.q, False)
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})

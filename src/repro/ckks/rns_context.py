@@ -1,15 +1,11 @@
 """RnsContext: the batched-arithmetic state shared by every RnsPoly.
 
 One context serves one ``(moduli, N)`` pair and owns the row-wise Barrett
-reducer (element-wise ciphertext arithmetic, §IV-A-4) plus the lazily
-built :class:`~repro.ntt.ShoupStack` (domain conversions). This mirrors
+reducer (element-wise ciphertext arithmetic, §IV-A-4) plus the
+:class:`~repro.ntt.ShoupStack` (domain conversions). This mirrors
 the paper's initialization phase (§IV-D-1): constants for the whole chain
 are precomputed once and every subsequent operation is a single dense pass
 over the ``(num_primes, N)`` residue matrix.
-
-The Shoup stack is lazy because arithmetic never needs it and not every
-basis is NTT-friendly — BFV's auxiliary bases, for instance, add and
-subtract in the coefficient domain only.
 
 Contexts are cached with the same unified sizing as the twiddle tables
 (:data:`repro.ntt.tables.TABLE_CACHE_SIZE`) so a deep chain cannot evict
@@ -19,12 +15,12 @@ one half of an operation's precompute while keeping the other.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..analysis.annotations import bounded
-from ..ntt.stacked import ShoupStack, get_shoup_stack
+from ..ntt.stacked import get_shoup_stack
 from ..ntt.tables import TABLE_CACHE_SIZE
 from ..numtheory import BatchBarrettReducer
 
@@ -38,16 +34,11 @@ class RnsContext:
         self.barrett = BatchBarrettReducer(self.moduli)
         #: (num_primes, 1) modulus column for broadcast arithmetic.
         self.q_col = self.barrett.q_col(2)
-        self._shoup: Optional[ShoupStack] = None
-
-    @property
-    def shoup(self) -> ShoupStack:
-        """The Shoup-multiplication twiddle stack the backend NTT kernels
-        consume (built on first domain conversion; shares the global
-        stack cache with the key-switch pipeline)."""
-        if self._shoup is None:
-            self._shoup = get_shoup_stack(self.moduli, self.n)
-        return self._shoup
+        #: Transform tables of the backend NTT kernels, shared with the
+        #: key-switch pipeline; each table set builds on first use, so
+        #: bases that are not NTT-friendly (BFV's auxiliary bases) cost
+        #: nothing here.
+        self.shoup = get_shoup_stack(self.moduli, self.n)
 
     @bounded(out_q=1)
     def reduce_scalar(self, value: int) -> np.ndarray:

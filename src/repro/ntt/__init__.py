@@ -3,10 +3,10 @@
 - :mod:`.reference` — O(N^2) ground truth;
 - :mod:`.radix2` — iterative Cooley-Tukey transform of one prime's rows
   (the per-row reference for the stacked kernel);
-- :mod:`.stacked` — the batched RNS engine: one Shoup-multiplication
-  transform over a whole ``(num_primes, [digits,] N)`` residue tensor, the
-  only batched NTT the library runs;
-- :mod:`.fourstep` — single-level 4-step (Eq. 2);
+- :mod:`.stacked` — the batched RNS engine: one transform over a whole
+  ``(num_primes, [digits,] N)`` residue tensor, the only batched NTT the
+  library runs (the single-level 4-step of Eq. 2 as exact float64 GEMMs
+  on the numpy backend);
 - :mod:`.decompose` / :mod:`.hierarchical` — WarpDrive's multi-level
   decomposition (Fig. 2, Table IV) with pluggable leaf engines;
 - :mod:`.gemm` / :mod:`.bitsplit` — CUDA-core and tensor-core (uint8 limb)
@@ -24,7 +24,6 @@ from .decompose import (
     build_plan,
     table_iv_rows,
 )
-from .fourstep import fourstep_cyclic_ntt, fourstep_negacyclic_ntt
 from .gemm import gemm_inner_ntt, matmul_mod_uint32
 from .hierarchical import LEAF_ENGINES, ExecutionStats, HierarchicalNtt
 from .negacyclic import (
@@ -79,8 +78,6 @@ __all__ = [
     "count_limb_gemms",
     "cyclic_convolution",
     "cyclic_ntt",
-    "fourstep_cyclic_ntt",
-    "fourstep_negacyclic_ntt",
     "gemm_inner_ntt",
     "get_shoup_stack",
     "get_tables",

@@ -6,20 +6,12 @@ needs all ``dnum * num_primes`` rows transformed in one pass, the way
 WarpDrive's PE kernels consume the digit dimension as ciphertext-level
 parallelism (§IV-C) rather than launching per-digit transforms serially.
 
-Two things distinguish this kernel from the per-prime Montgomery-domain
-:func:`~repro.ntt.radix2.negacyclic_ntt`:
-
-* **Shoup multiplication with lazy (Harvey-style) reduction.** Twiddles
-  are constant per stage, so each carries a precomputed companion
-  ``w' = floor(w * 2**32 / q)`` and the butterfly product is two uint64
-  multiplies and a shift — no Montgomery REDC chain. Products are kept
-  *lazy* in ``[0, 2q)`` through the stages (``min``-trick corrections
-  instead of masked stores) and canonicalized once at the end, exactly
-  the deferred-reduction discipline of GPU NTT kernels.
-* **Digit-innermost layout.** For a ``(P, G, N)`` batch the butterflies
-  run in the transposed ``(P, N, G)`` layout, so every lo/hi slice is a
-  contiguous run of ``G`` lanes at every stage — the strided access that
-  dominates a radix-2 sweep becomes unit-stride over the batch.
+The numpy backend runs it as the paper's GEMM four-step (§IV-A/B,
+Eq. 2): exact float64 BLAS GEMMs with the negacyclic twists folded into
+the :class:`GemmTables` factors and :func:`limb_split` bounding every
+partial sum below ``2**53``. The numba backend keeps radix-2 Shoup
+butterflies over :class:`ShoupTwiddles`. Both table sets are built on
+first read.
 
 Outputs are canonical (``< q``) and bit-identical to running
 :func:`~repro.ntt.radix2.negacyclic_ntt` / ``negacyclic_intt`` row by row
@@ -27,14 +19,14 @@ and to the O(N^2) :mod:`~repro.ntt.reference` transforms
 (regression-tested).
 
 Lazy inputs: the forward transform accepts any representatives below
-``2**32`` (the Shoup pre-twist reduces them into ``[0, 2q)``), which lets
-the single-prime-digit ModUp broadcast skip its reduction entirely. The
-inverse transform requires inputs below ``2q`` (canonical suffices).
+``2**32``, which lets the single-prime-digit ModUp broadcast skip its
+reduction entirely. The inverse transform requires inputs below ``2q``
+(canonical suffices).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -58,33 +50,114 @@ def _shoup(table: np.ndarray, q_col: np.ndarray) -> np.ndarray:
     return (table << _U32) // q_col
 
 
-class ShoupStack:
-    """Plain-domain twiddles plus Shoup companions for one ``(moduli, N)``
-    chain, shared by every stacked transform over that chain.
+def limb_split(dim: int, q_max: int) -> Tuple[int, int]:
+    """``(limbs, width)`` for an exact float64 GEMM contracting ``dim``
+    operand rows below ``2**32`` against a table balanced into
+    ``(-q/2, q/2]``: the fewest limbs of ``width = ceil(32 / limbs)``
+    bits such that the largest sum, ``limbs * dim`` products of
+    ``(2**width - 1) * (q - 1)/2``, plus the ``2q`` slack of the
+    reduction ``v - (rint(v/q) - 1) * q``, stays ``<= 2**53``. Raises
+    ``ValueError`` for ``q >= 2**31`` or when three limbs do not suffice
+    (``dim > 1365``, first reached at ``N = 2**21``).
+    """
+    if q_max >= 1 << 31:
+        raise ValueError(f"GEMM NTT needs moduli below 2**31, got {q_max}")
+    for limbs in (2, 3):
+        width = -(-32 // limbs)
+        bound = limbs * dim * ((1 << width) - 1) * ((q_max - 1) // 2)
+        if bound + 2 * q_max <= 1 << 53:  # float64 integers are exact
+            return limbs, width
+    raise ValueError(f"GEMM NTT over {dim} rows with q = {q_max} cannot "
+                     f"keep its float64 partial sums below 2**53")
 
-    Attributes
-    ----------
-    psi_perm, psi_perm_sh:
-        Negacyclic pre-twist factors in *bit-reversed* order (the forward
-        kernel permutes first, so the twist table is permuted once here
-        instead of per call), with Shoup companions.
-    omega, omega_sh / omega_inv, omega_inv_sh:
-        ``(num_primes, N)`` cyclic-core twiddle tables, plain domain.
-    psi_inv_scale, psi_inv_scale_sh:
-        Inverse post-twist with the ``N^{-1}`` normalizer fused in:
-        ``psi^{-j} * N^{-1} mod q``.
+
+def _psi_power(pows: np.ndarray, exps: np.ndarray, q_col: np.ndarray,
+               n: int) -> np.ndarray:
+    """``psi**e mod q`` per prime for an integer exponent grid, from the
+    ``(P, N)`` power table ``pows`` (``psi**N = -1``)."""
+    e = exps % (2 * n)
+    vals = np.take(pows, e % n, axis=1)
+    return np.where(e >= n, q_col - vals, vals)
+
+
+def _limb_scaled(table: np.ndarray, q_col: np.ndarray, limbs: int,
+                 width: int) -> np.ndarray:
+    """``(P, R, limbs * C)`` float64: ``table * 2**(width*l) mod q`` for
+    each limb ``l``, balanced into ``(-q/2, q/2]``."""
+    shifts = np.arange(limbs, dtype=np.uint64) * np.uint64(width)
+    scale = (np.uint64(1) << shifts) % q_col            # (P, 1, limbs)
+    q4 = q_col[..., None]
+    v = table[:, :, None, :] * scale[..., None] % q4
+    v = np.where(v > q4 // 2, v.astype(np.int64) - q4.astype(np.int64), v)
+    return v.reshape(table.shape[0], table.shape[1], -1).astype(np.float64)
+
+
+class GemmTables:
+    """One direction's four-step factors over a ``(moduli, N)`` chain,
+    ``N = N1 * N2`` with ``N1 = 2**floor(log2(N) / 2)``.
+
+    Each row is an ``N1 x N2`` matrix ``X`` and the transform is
+    ``F2 @ ((F1 @ X) * T).T``. With ``a, a' < N1`` and ``b, b' < N2``
+    (output, input) the entries are powers of ``psi`` (forward) or
+    ``psi**-1`` (inverse, ``T`` also times ``N**-1``):
+
+    =====  ======================  =====================
+    table  forward exponent        inverse exponent
+    =====  ======================  =====================
+    F1     ``N2 * a' * (2a + 1)``  ``2 * N2 * a * a'``
+    T      ``b' * (2a + 1)``       ``a * (2b' + 1)``
+    F2     ``2 * N1 * b * b'``     ``N1 * b * (2b' + 1)``
+    =====  ======================  =====================
+
+    so the ψ twists cost no pass. ``f1 (P, N1, limbs1 * N1)`` and
+    ``f2 (P, N2, limbs2 * N2)`` hold one column block per operand limb;
+    ``t, t_sh (P, 1, N1, N2)`` are uint64 with Shoup companions.
     """
 
-    def __init__(self, moduli: Sequence[int], n: int):
-        self.moduli = tuple(moduli)
-        self.n = n
-        tabs = [get_tables(q, n) for q in self.moduli]
-        self.q = np.array(self.moduli, dtype=np.uint64)
-        q_col = self.q[:, None]
-        self._perm = np.array(bit_reverse_permutation(n), dtype=np.intp)
+    def __init__(self, stack: "ShoupStack", *, inverse: bool):
+        n = stack.n
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = n // n1
+        q_col = stack.q[:, None, None]
+        tabs = [get_tables(q, n) for q in stack.moduli]
+        pows = np.stack([t.psi_inv_pows if inverse else t.psi_pows
+                         for t in tabs])
+        a = np.arange(n1, dtype=np.int64)[:, None]
+        b = np.arange(n2, dtype=np.int64)[None, :]
+        if inverse:
+            f1 = _psi_power(pows, 2 * n2 * a * a.T, q_col, n)
+            n_inv = np.array([t.n_inv for t in tabs], dtype=np.uint64)
+            t = _psi_power(pows, a * (2 * b + 1), q_col, n) \
+                * n_inv[:, None, None] % q_col
+            f2 = _psi_power(pows, n1 * b.T * (2 * b + 1), q_col, n)
+        else:
+            f1 = _psi_power(pows, n2 * a.T * (2 * a + 1), q_col, n)
+            t = _psi_power(pows, b * (2 * a + 1), q_col, n)
+            f2 = _psi_power(pows, 2 * n1 * b.T * b, q_col, n)
+        self.n1, self.n2 = n1, n2
+        self.limbs1, self.width1 = limb_split(n1, max(stack.moduli))
+        self.limbs2, self.width2 = limb_split(n2, max(stack.moduli))
+        self.f1 = _limb_scaled(f1, q_col, self.limbs1, self.width1)
+        self.f2 = _limb_scaled(f2, q_col, self.limbs2, self.width2)
+        self.t = t[:, None]
+        self.t_sh = _shoup(self.t, q_col[:, None])
+
+
+class ShoupTwiddles:
+    """Radix-2 butterfly twiddles with Shoup companions (``*_sh``) for
+    the numba backend: the bit-reversal ``perm``, the pre-twist
+    ``psi_perm`` in bit-reversed order, the ``(P, N)`` cyclic-core
+    ``omega`` / ``omega_inv`` tables, and the inverse post-twist with
+    ``N^{-1}`` fused in, ``psi_inv_scale``."""
+
+    def __init__(self, stack: "ShoupStack"):
+        n = stack.n
+        tabs = [get_tables(q, n) for q in stack.moduli]
+        q_col = stack.q[:, None]
+        self.perm = np.array(bit_reverse_permutation(n), dtype=np.intp)
 
         psi = np.stack([t.psi_pows for t in tabs])
-        self.psi_perm = np.ascontiguousarray(psi[:, self._perm])
+        self.psi_perm = np.ascontiguousarray(psi[:, self.perm])
         self.psi_perm_sh = _shoup(self.psi_perm, q_col)
         self.omega = np.stack([t.omega_pows for t in tabs])
         self.omega_sh = _shoup(self.omega, q_col)
@@ -96,6 +169,31 @@ class ShoupStack:
         # psi_inv * n_inv < 2**62 fits uint64; one fused post-scale table.
         self.psi_inv_scale = (psi_inv * n_inv) % q_col
         self.psi_inv_scale_sh = _shoup(self.psi_inv_scale, q_col)
+
+
+class ShoupStack:
+    """Transform tables for one ``(moduli, N)`` chain, shared by every
+    stacked transform over that chain and each built on first read:
+    :attr:`forward` / :attr:`inverse` (:class:`GemmTables`, numpy
+    backend) and :attr:`shoup` (:class:`ShoupTwiddles`, numba backend).
+    """
+
+    def __init__(self, moduli: Sequence[int], n: int):
+        self.moduli = tuple(moduli)
+        self.n = n
+        self.q = np.array(self.moduli, dtype=np.uint64)
+
+    @cached_property
+    def forward(self) -> GemmTables:
+        return GemmTables(self, inverse=False)
+
+    @cached_property
+    def inverse(self) -> GemmTables:
+        return GemmTables(self, inverse=True)
+
+    @cached_property
+    def shoup(self) -> ShoupTwiddles:
+        return ShoupTwiddles(self)
 
     @property
     def num_primes(self) -> int:
@@ -133,20 +231,20 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
-    The butterfly sweep itself lives in the active backend
+    The transform itself lives in the active backend
     (:mod:`repro.backend`); this wrapper owns shape validation and the
     2-D squeeze so every backend sees the same ``(P, G, N)`` batch.
 
     Accepts lazy inputs: any representatives ``< 2**32`` transform to the
     same canonical result as their reduced values.
 
-    ``lazy``: skip the final canonicalization and return lazy values
-    ``< 2q`` (congruent to the canonical transform; the representatives
-    are backend-specific) — for consumers that tolerate 32-bit
+    ``lazy``: the caller accepts lazy values ``< 2q`` (congruent to the
+    canonical transform; backend-specific, and the numpy backend returns
+    canonical values anyway) — for consumers that tolerate 32-bit
     representatives, e.g. the wide-accumulator inner product.
-    ``t_out``: return the digit-innermost ``(P, N, G)`` working layout
-    directly, skipping the transpose back (3-D batches only); consumers
-    that reduce over the digit axis read it contiguously.
+    ``t_out``: return the digit-innermost ``(P, N, G)`` layout (3-D
+    batches only); consumers that reduce over the digit axis read it
+    contiguously.
     """
     squeeze = x.ndim == 2
     if squeeze and t_out:
@@ -162,8 +260,8 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
 def stacked_negacyclic_intt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
     """Inverse negacyclic NTT of a ``(P, G, N)`` batch (or ``(P, N)``
     matrix); canonical output, same shape. Inputs must be ``< 2q``
-    (canonical inputs always qualify). Delegates the butterfly sweep to
-    the active backend (:mod:`repro.backend`)."""
+    (canonical inputs always qualify). Delegates the transform to the
+    active backend (:mod:`repro.backend`)."""
     squeeze = x.ndim == 2
     x = _check_shape(x, stack)
     out = active_backend().ntt_inverse(x, stack)

@@ -111,6 +111,24 @@ class BackendParitySuite:
         assert lazy.max() < 1 << 32
         np.testing.assert_array_equal(lazy % q_col, want)
 
+    def test_stacked_ntt_input_ceilings_match(self, backend):
+        # n = 128 splits 8 x 16 in the numpy GEMM four-step; 31-bit primes
+        # and inputs at the ceilings 2**32 - 1 (lazy forward) and 2q - 1
+        # (inverse) put its float64 sums nearest 2**53.
+        stack = get_shoup_stack(tuple(find_ntt_primes(3, 31, N)), N)
+        q_col = stack.q[:, None, None]
+        top = np.full((3, 2, N), (1 << 32) - 1, dtype=np.uint64)
+        edge = np.broadcast_to(2 * q_col - 1, top.shape).copy()
+        want_fwd = stacked_negacyclic_ntt(top, stack)
+        want_inv = stacked_negacyclic_intt(edge, stack)
+        with use_backend(backend):
+            lazy = stacked_negacyclic_ntt(top, stack, lazy=True)
+            got_fwd = stacked_negacyclic_ntt(top, stack)
+            got_inv = stacked_negacyclic_intt(edge, stack)
+        np.testing.assert_array_equal(lazy % q_col, want_fwd)
+        np.testing.assert_array_equal(got_fwd, want_fwd)
+        np.testing.assert_array_equal(got_inv, want_inv)
+
     # ---- RnsPoly end-to-end --------------------------------------------
 
     def test_rns_poly_arithmetic_matches(self, backend):

@@ -3,11 +3,14 @@
 The stacked ``(num_primes, N)`` kernel must agree *bit-for-bit* with the
 per-row radix-2 path, with every hierarchical NTT variant, and with the
 O(N^2) reference transforms — on at least 100 seeded random inputs per
-``(N, q)`` configuration.
+``(N, q)`` configuration, and at the worst-case inputs of the float64
+GEMM kernel.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ntt import (
     LEAF_ENGINES,
@@ -21,7 +24,8 @@ from repro.ntt import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
-from repro.numtheory import find_ntt_primes
+from repro.ntt.stacked import limb_split
+from repro.numtheory import find_ntt_prime, find_ntt_primes
 
 NUM_SEEDS = 100
 
@@ -106,3 +110,68 @@ class TestBatchedVsAllVariants:
             )
             assert np.array_equal(inv, variant_inv)
 
+
+
+def _per_row(fn, x, moduli, n):
+    return np.stack([fn(x[i] % np.uint64(q), get_tables(q, n))
+                     for i, q in enumerate(moduli)])
+
+
+class TestGemmExactness:
+    """The float64 GEMM four-step stays exact at its worst-case inputs:
+    forward values at ``2**32 - 1``, inverse values at ``2q - 1``, and
+    the largest 30- and 31-bit NTT primes (the 30-bit chain keeps two
+    16-bit limbs at ``N = 2**14``, right at the ``2**53`` edge)."""
+
+    @pytest.mark.parametrize("bits", [30, 31])
+    @pytest.mark.parametrize("log_n", range(1, 15))
+    def test_extreme_inputs_match_radix2(self, bits, log_n):
+        n = 1 << log_n
+        moduli = tuple(find_ntt_primes(2, bits, n))
+        stack = get_shoup_stack(moduli, n)
+        q_col = np.array(moduli, dtype=np.uint64)[:, None]
+        top = np.full((2, n), (1 << 32) - 1, dtype=np.uint64)
+        fwd = stacked_negacyclic_ntt(top, stack)
+        assert np.array_equal(fwd, _per_row(negacyclic_ntt, top, moduli, n))
+        edge = np.broadcast_to(2 * q_col - 1, (2, n)).copy()
+        inv = stacked_negacyclic_intt(edge, stack)
+        assert np.array_equal(inv,
+                              _per_row(negacyclic_intt, edge, moduli, n))
+        if n <= 256:
+            for i, q in enumerate(moduli):
+                tables = get_tables(q, n)
+                assert np.array_equal(fwd[i], reference_negacyclic_ntt(
+                    top[i] % np.uint64(q), tables))
+                assert np.array_equal(inv[i], reference_negacyclic_intt(
+                    edge[i] % np.uint64(q), tables))
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_n=st.integers(1, 10), below=st.integers(1 << 30, 1 << 31),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_31_bit_primes(self, log_n, below, seed):
+        n = 1 << log_n
+        try:
+            q = find_ntt_prime(31, n, below=below)
+        except ValueError:  # no NTT prime in [2**30, below)
+            return
+        stack = get_shoup_stack((q,), n)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 1 << 32, size=(1, 3, n), dtype=np.uint64)
+        y = rng.integers(0, 2 * q, size=(1, 3, n), dtype=np.uint64)
+        fwd = stacked_negacyclic_ntt(x, stack)
+        inv = stacked_negacyclic_intt(y, stack)
+        tables = get_tables(q, n)
+        for d in range(3):
+            assert np.array_equal(
+                fwd[0, d], negacyclic_ntt(x[0, d] % np.uint64(q), tables))
+            assert np.array_equal(
+                inv[0, d], negacyclic_intt(y[0, d] % np.uint64(q), tables))
+
+    def test_limb_split_is_derived_from_the_bound(self):
+        assert limb_split(64, (1 << 31) - 1) == (2, 16)
+        assert limb_split(128, (1 << 31) - 1) == (3, 11)
+        assert limb_split(128, (1 << 30) - 1) == (2, 16)
+        with pytest.raises(ValueError, match="below 2\\*\\*31"):
+            limb_split(16, 1 << 31)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            limb_split(1 << 12, (1 << 31) - 1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro import ntt
 from repro.ntt.tables import NttTables
-from repro.numtheory import BarrettReducer, find_ntt_prime
+from repro.numtheory import BarrettReducer, find_ntt_prime, find_ntt_primes
 
 N = 64
 Q = find_ntt_prime(28, N)
@@ -97,21 +97,35 @@ class TestRadix2:
 
 
 class TestFourStep:
-    @pytest.mark.parametrize("n1,n2", [(8, 8), (4, 16), (16, 4), (2, 32)])
-    def test_matches_reference(self, n1, n2):
-        x = rand_poly()
-        got = ntt.fourstep_cyclic_ntt(x, n1, n2, TABLES.omega, Q)
-        expected = ntt.reference_cyclic_ntt(x, TABLES.omega, Q)
-        assert np.array_equal(got, expected)
+    """The stacked kernel's GEMM four-step (Eq. 2; 8 x 8 split at
+    ``N = 64``) against the O(N^2) reference, over batch shapes."""
+
+    @pytest.mark.parametrize("num_primes,digits",
+                             [(8, 8), (4, 16), (16, 4), (2, 32)])
+    def test_matches_reference(self, num_primes, digits):
+        moduli = tuple(find_ntt_primes(num_primes, 28, N))
+        x = np.stack([rand_poly(q=q, batch=(digits,)) for q in moduli])
+        got = ntt.stacked_negacyclic_ntt(x, ntt.get_shoup_stack(moduli, N))
+        for i, q in enumerate(moduli):
+            tables = NttTables(q, N)
+            for d in range(digits):
+                assert np.array_equal(
+                    got[i, d], ntt.reference_negacyclic_ntt(x[i, d], tables)
+                )
 
     def test_negacyclic_form(self):
         x = rand_poly()
-        got = ntt.fourstep_negacyclic_ntt(x, 8, 8, TABLES)
+        stack = ntt.get_shoup_stack((Q,), N)
+        got = ntt.stacked_negacyclic_ntt(x[None], stack)[0]
         assert np.array_equal(got, ntt.reference_negacyclic_ntt(x, TABLES))
+        back = ntt.stacked_negacyclic_intt(got[None], stack)[0]
+        assert np.array_equal(back, x)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            ntt.fourstep_cyclic_ntt(rand_poly(), 8, 4, TABLES.omega, Q)
+            ntt.stacked_negacyclic_ntt(
+                rand_poly()[None, :32], ntt.get_shoup_stack((Q,), N)
+            )
 
 
 class TestButterfly:
