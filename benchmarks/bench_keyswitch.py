@@ -41,8 +41,10 @@ from repro.ckks.keyswitch import keyswitch, keyswitch_looped
 from repro.ckks.poly import EVAL, RnsPoly
 from repro.numtheory.rns import RNSBasis
 
-#: Key-switch configs: the paper's SET-B and SET-C (Table VI).
-KS_SETS = ["set_b", "set_c"]
+#: Key-switch configs: the paper's SET-B and SET-C (Table VI), whose
+#: digits are single primes, and the small set (dnum=3, alpha=3), which
+#: runs the general multi-prime ModUp.
+KS_SETS = ["small", "set_b", "set_c"]
 HEADLINE_SET = "SET-C"
 #: Hoisted-rotation config: SET-B, batching across 8 rotation steps.
 HOIST_SET = "set_b"

@@ -131,15 +131,14 @@ class ArrayBackend:
 
     @bounded(assume=True, in_bits=32, out_q=1, out_q_lazy=2,
              params={"x": {"bits": 32}})
-    def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
-                    t_out: bool = False) -> np.ndarray:
+    def ntt_forward(self, x: np.ndarray, stack, *,
+                    lazy: bool = False) -> np.ndarray:
         """Forward stacked negacyclic NTT of a ``(P, G, N)`` digit batch.
 
         ``stack`` is a :class:`repro.ntt.stacked.ShoupStack` (duck-typed:
         only its tables are read). Accepts lazy inputs ``< 2**32``;
         returns canonical values, or (allowed, not required) backend-
         specific lazy representatives ``< 2q`` when ``lazy=True``.
-        ``t_out`` returns the digit-innermost ``(P, N, G)`` layout.
         """
         raise NotImplementedError
 
@@ -151,11 +150,11 @@ class ArrayBackend:
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
-    def wide_dot(self, ext: np.ndarray, rows: np.ndarray, q: np.ndarray,
-                 *, lane_axis: int = -2) -> np.ndarray:
-        """``sum_g ext[..g..] * rows[..g..] mod q_i`` reduced over the
-        digit axis ``lane_axis`` without per-digit reduction. ``rows``
-        must be canonical; ``ext`` may hold any representatives below
+    def wide_dot(self, ext: np.ndarray, rows: np.ndarray,
+                 q: np.ndarray) -> np.ndarray:
+        """``sum_g ext[..., g, :] * rows[..., g, :] mod q_i`` reduced over
+        the digit axis ``-2`` without per-digit reduction. ``rows`` must
+        be canonical; ``ext`` may hold any representatives below
         ``2**32``. Canonical output."""
         raise NotImplementedError
 
@@ -202,20 +201,12 @@ class ArrayBackend:
         batch = np.stack([a, b], axis=1)  # (P, 2, n)
         checks += [
             ("ntt_forward", lambda be: be.ntt_forward(batch, stack)),
-            ("ntt_forward_t",
-             lambda be: be.ntt_forward(batch, stack, t_out=True)),
             ("ntt_roundtrip",
              lambda be: be.ntt_inverse(be.ntt_forward(batch, stack),
                                        stack)),
             ("wide_dot",
              lambda be: be.wide_dot(batch, np.stack([b, a], axis=1),
                                     moduli)),
-            ("wide_dot_lanes_last",
-             lambda be: be.wide_dot(
-                 np.ascontiguousarray(batch.transpose(0, 2, 1)),
-                 np.ascontiguousarray(
-                     np.stack([b, a], axis=1).transpose(0, 2, 1)),
-                 moduli, lane_axis=-1)),
         ]
         # A non-square ring (n = 128 splits 8 x 16 in the GEMM four-step)
         # at the input ceilings: lazy forward inputs at 2**32 - 1, inverse

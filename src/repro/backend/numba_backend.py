@@ -198,8 +198,8 @@ class NumbaBackend(NumpyBackend):
 
     @bounded(in_bits=32, out_q=1, out_q_lazy=2, max_q_multiple=4,
              assume=True, params={"x": {"bits": 32}})
-    def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
-                    t_out: bool = False) -> np.ndarray:
+    def ntt_forward(self, x: np.ndarray, stack, *,
+                    lazy: bool = False) -> np.ndarray:
         tw = stack.shoup
         a = np.ascontiguousarray(
             x.astype(np.uint64, copy=False)[:, :, tw.perm]
@@ -207,8 +207,6 @@ class NumbaBackend(NumpyBackend):
         )
         _ntt_forward_rows(a, tw.psi_perm, tw.psi_perm_sh,
                           tw.omega, tw.omega_sh, stack.q, lazy)
-        if t_out:
-            return a
         return np.ascontiguousarray(a.transpose(0, 2, 1))
 
     @bounded(in_q=2, out_q=1, max_q_multiple=4, assume=True,
@@ -226,12 +224,10 @@ class NumbaBackend(NumpyBackend):
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
-    def wide_dot(self, ext: np.ndarray, rows: np.ndarray, q: np.ndarray,
-                 *, lane_axis: int = -2) -> np.ndarray:
-        ext_m = np.moveaxis(np.asarray(ext, dtype=np.uint64),
-                            lane_axis, -1)
-        rows_m = np.moveaxis(np.asarray(rows, dtype=np.uint64),
-                             lane_axis, -1)
+    def wide_dot(self, ext: np.ndarray, rows: np.ndarray,
+                 q: np.ndarray) -> np.ndarray:
+        ext_m = np.moveaxis(np.asarray(ext, dtype=np.uint64), -2, -1)
+        rows_m = np.moveaxis(np.asarray(rows, dtype=np.uint64), -2, -1)
         ext_m, rows_m = np.broadcast_arrays(ext_m, rows_m)
         out_shape = ext_m.shape[:-1]
         num_primes = ext_m.shape[0]

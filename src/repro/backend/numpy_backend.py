@@ -21,7 +21,9 @@ elementwise hot path:
 
 The stacked NTT/INTT is the paper's GEMM four-step (§IV-A/B): two
 exact float64 BLAS dgemms per (prime, digit) around a Shoup twiddle
-product. Its float core is ``assume=True``; exactness is derived by
+product. Basis conversion (:func:`bconv_gemm`) is the same kind of
+product and shares its limb split and reduction. The float cores are
+``assume=True``; exactness is derived by
 :func:`~repro.ntt.stacked.limb_split` and tested at worst-case inputs.
 """
 
@@ -73,9 +75,9 @@ _TILE = 1 << 17
 
 
 def _four_step_tile(x: np.ndarray, tabs, rows: slice, q: np.ndarray,
-                    out: np.ndarray, t_out: bool) -> None:
+                    out: np.ndarray) -> None:
     """Transform the primes ``rows`` of a batch into ``out``, a
-    ``(P, G, N2, N1)`` or (``t_out``) ``(P, N2, N1, G)`` view."""
+    ``(P, G, N2, N1)`` view."""
     p, g, n = x.shape
     n1, n2 = tabs.n1, tabs.n2
     q_f = _col(q.astype(np.float64), 4)
@@ -94,16 +96,15 @@ def _four_step_tile(x: np.ndarray, tabs, rows: slice, q: np.ndarray,
     z = _shifted_residue(
         np.matmul(tabs.f2[rows, None], w.transpose(0, 1, 3, 2)), q_f)
     del w
-    out[...] = z.transpose(0, 2, 3, 1) if t_out else z
+    out[...] = z
     np.minimum(out, out - _col(q, 4), out=out)
 
 
 @bounded(assume=True, params={"x": {"bits": 32}}, out_q=1)
-def _gemm_four_step(x: np.ndarray, tabs, q: np.ndarray,
-                    t_out: bool) -> np.ndarray:
+def _gemm_four_step(x: np.ndarray, tabs, q: np.ndarray) -> np.ndarray:
     """Exact GEMM four-step of a ``(P, G, N)`` batch below ``2**32``
     with one direction's :class:`~repro.ntt.stacked.GemmTables`:
-    canonical, natural order, ``(P, N, G)`` layout for ``t_out``.
+    canonical, natural order.
 
     Per (prime, digit), ``F1 @ X`` and ``F2 @ W.T`` are BLAS dgemms, so
     the four-step's transpose rides in the GEMM. Their float sums are
@@ -113,13 +114,46 @@ def _gemm_four_step(x: np.ndarray, tabs, q: np.ndarray,
     ``_TILE`` input elements.
     """
     p, g, n = x.shape
-    grid = (tabs.n2, tabs.n1)
-    out = np.empty((p, *grid, g) if t_out else (p, g, *grid), np.uint64)
+    out = np.empty((p, g, tabs.n2, tabs.n1), np.uint64)
     step = max(1, _TILE // (g * n))
     for lo in range(0, p, step):
         rows = slice(lo, lo + step)
-        _four_step_tile(x[rows], tabs, rows, q[rows], out[rows], t_out)
-    return out.reshape(p, n, g) if t_out else out.reshape(p, g, n)
+        _four_step_tile(x[rows], tabs, rows, q[rows], out[rows])
+    return out.reshape(p, g, n)
+
+
+#: Output elements per column tile of :func:`bconv_gemm` (128 KiB of
+#: float64): a tile's temporaries are recycled by the allocator instead
+#: of being paged in afresh for every ``(T, G, M)``-sized pass.
+_BCONV_TILE = 1 << 14
+
+
+@bounded(assume=True, out_q=1, max_lanes=3 * 1365,
+         params={"y": {"bits": 32}})
+def bconv_gemm(y: np.ndarray, table: np.ndarray, limbs: int, width: int,
+               q: np.ndarray) -> np.ndarray:
+    """Basis conversion as an exact float64 GEMM: the canonical
+    ``out[t, g] = sum_i y[g, i] * hat[g, t, i] mod q_t``, prime-major
+    ``(T, G, M)``, for ``(G, alpha, M)`` digits ``y`` below ``2**32``.
+
+    ``table`` is ``(G, T, limbs * alpha)``: the hats times each limb's
+    ``2**(width * l)``, balanced into ``(-q/2, q/2]``, so with ``limbs``
+    and ``width`` from :func:`~repro.ntt.stacked.limb_split` over the
+    ``alpha`` rows every float sum is exact, and the four-step's
+    reduction shifts it into ``[0, 2q)`` for the min-trick. Every digit
+    rides one batched matmul per tile of ``_BCONV_TILE`` outputs.
+    """
+    g, alpha, m = y.shape
+    q_f = _col(q.astype(np.float64), 2)
+    out = np.empty((len(q), g, m), dtype=np.uint64)
+    step = max(1, _BCONV_TILE // (g * len(q)))
+    for lo in range(0, m, step):
+        a = _limbs(y[:, :, lo:lo + step], limbs, width, 1)
+        tile = out[:, :, lo:lo + step]
+        tile.transpose(1, 0, 2)[...] = _shifted_residue(
+            np.matmul(table, a.reshape(g, limbs * alpha, -1)), q_f)
+        np.minimum(tile, tile - _col(q, 3), out=tile)
+    return out
 
 
 class NumpyBackend(ArrayBackend):
@@ -171,31 +205,36 @@ class NumpyBackend(ArrayBackend):
 
     @bounded(assume=True, in_bits=32, out_q=1, out_q_lazy=2,
              params={"x": {"bits": 32}})
-    def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
-                    t_out: bool = False) -> np.ndarray:
+    def ntt_forward(self, x: np.ndarray, stack, *,
+                    lazy: bool = False) -> np.ndarray:
         # Always canonical: lazy=True permits, never requires, < 2q.
         return _gemm_four_step(x.astype(np.uint64, copy=False),
-                               stack.forward, stack.q, t_out)
+                               stack.forward, stack.q)
 
     @bounded(assume=True, in_q=2, out_q=1, params={"x": {"q": 2}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
         return _gemm_four_step(x.astype(np.uint64, copy=False),
-                               stack.inverse, stack.q, False)
+                               stack.inverse, stack.q)
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
-    def wide_dot(self, ext: np.ndarray, rows: np.ndarray, q: np.ndarray,
-                 *, lane_axis: int = -2) -> np.ndarray:
+    def wide_dot(self, ext: np.ndarray, rows: np.ndarray,
+                 q: np.ndarray) -> np.ndarray:
         # Each < 2**63 product splits into 32-bit halves which accumulate
-        # exactly in uint64 over the digit axis (safe for G up to ~2**25);
-        # the partial sums fold with (hi mod q) * (2**32 mod q) + lo.
-        prod = ext * rows
-        hi = (prod >> _U32).sum(axis=lane_axis)
-        lo = (prod & _LO32).sum(axis=lane_axis)
+        # exactly in uint64, one digit slice at a time (G up to max_lanes);
+        # the sums fold with (hi mod q) * (2**32 mod q) + lo.
+        shape = np.broadcast_shapes(ext.shape, rows.shape)
+        hi = np.zeros(shape[:-2] + shape[-1:], np.uint64)
+        lo = np.zeros_like(hi)
+        prod = np.empty_like(hi)
+        half = np.empty_like(hi)
+        for g in range(shape[-2]):
+            np.multiply(ext[..., g, :], rows[..., g, :], out=prod)
+            hi += np.right_shift(prod, _U32, out=half)
+            lo += np.bitwise_and(prod, _LO32, out=prod)
         q_c = _col(q, hi.ndim)
         np.remainder(hi, q_c, out=hi)
-        radix = (np.uint64(1) << _U32) % q_c
-        hi *= radix
+        hi *= (np.uint64(1) << _U32) % q_c
         hi += lo
         np.remainder(hi, q_c, out=hi)
         return hi

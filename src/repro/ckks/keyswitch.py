@@ -18,8 +18,9 @@ module also fuses the ``dnum`` digit loop — the ciphertext-level
 parallelism WarpDrive's PE kernels exploit (§IV-C):
 
 * ModUp emits the whole ``(L+K, dnum, N)`` digit tensor in one pass
-  (:func:`~repro.numtheory.rns.extend_basis_stacked`), lazily when digits
-  are single primes;
+  (:func:`~repro.numtheory.rns.extend_basis_stacked`): one batched
+  float64 GEMM over every digit, or a lazy broadcast when digits are
+  single primes;
 * one stacked Shoup-kernel NTT transforms all ``dnum * (L+K)`` rows
   (:mod:`repro.ntt.stacked`);
 * the InnerProduct is a single einsum-style wide-accumulator reduction
@@ -129,14 +130,9 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
             pool.allocate(ext.nbytes, "modup_digits")
 
         # stage 3: NTT — all dnum'*(L+K) rows in one stacked pass. The
-        # output stays *lazy* (< 2q) and in the kernel's digit-innermost
-        # (L+K, N, G) layout: the wide-accumulator inner product tolerates
-        # 32-bit representatives and reduces over the contiguous digit
-        # axis, so both the canonicalization and the transpose back are
-        # skipped.
-        ext_eval = stacked_negacyclic_ntt(
-            ext, stack_target, lazy=True, t_out=True
-        )
+        # output may stay *lazy* (< 2q): the wide-accumulator inner
+        # product tolerates 32-bit representatives.
+        ext_eval = stacked_negacyclic_ntt(ext, stack_target, lazy=True)
         _temit("ntt", rows=num_digits * num_target, panes=num_digits,
                reads=(ext,), writes=(ext_eval,))
         if pool is not None:
@@ -144,10 +140,10 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
 
         # stage 4: InnerProduct — one wide-accumulator reduction over the
         # digit axis against the per-level evk row stacks (cached on key).
-        b_stack, a_stack = stacked_key_rows(ksk, num_level, t_layout=True)
+        b_stack, a_stack = stacked_key_rows(ksk, num_level)
         acc = np.stack(
             stacked_inner_product(
-                ext_eval, b_stack, a_stack, target_basis.batch, lane_axis=-1
+                ext_eval, b_stack, a_stack, target_basis.batch
             ),
             axis=1,
         )

@@ -75,24 +75,18 @@ def present_digits(digits: Sequence[Sequence[int]],
 
 
 @returns_view
-def stacked_key_rows(ksk: KeySwitchKey, num_level: int, *,
-                     t_layout: bool = False
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+def stacked_key_rows(ksk: KeySwitchKey,
+                     num_level: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(b_stack, a_stack)``: the key's evk rows restricted to the level,
     stacked per present digit into ``(num_level + K, G, N)`` tensors —
     the operand layout of the batched inner product.
 
-    ``t_layout`` returns the digit-innermost ``(num_level + K, N, G)``
-    transpose instead, matching the stacked NTT's working layout so the
-    inner product reduces over a contiguous axis.
-
-    The stacks depend only on ``(key, num_level, layout)``, so they are
-    built once and cached on the key (read-only views; BSGS transforms and
+    The stacks depend only on ``(key, num_level)``, so they are built
+    once and cached on the key (read-only views; BSGS transforms and
     bootstrap CoeffToSlot hit the same rotation keys at the same level
     repeatedly).
     """
-    cache_key = (num_level, t_layout)
-    cached = ksk._row_cache.get(cache_key)
+    cached = ksk._row_cache.get(num_level)
     if cached is not None:
         return cached
     full_len = full_chain_length(ksk)
@@ -106,40 +100,34 @@ def stacked_key_rows(ksk: KeySwitchKey, num_level: int, *,
     a_stack = np.stack(
         [ksk.pairs[j][1].data[rows] for j in digit_indices], axis=1
     )
-    if t_layout:
-        b_stack = np.ascontiguousarray(b_stack.transpose(0, 2, 1))
-        a_stack = np.ascontiguousarray(a_stack.transpose(0, 2, 1))
     b_stack.setflags(write=False)
     a_stack.setflags(write=False)
-    ksk._row_cache[cache_key] = (b_stack, a_stack)
+    ksk._row_cache[num_level] = (b_stack, a_stack)
     return b_stack, a_stack
 
 
 @bounded(assume=True, out_q=1, max_lanes=1 << 20,
          params={"ext": {"bits": 32}, "rows": {"q": 1}})
 def wide_dot(ext: np.ndarray, rows: np.ndarray,
-             reducer: BatchBarrettReducer, *,
-             lane_axis: int = -2) -> np.ndarray:
-    """``sum_g ext[..g..] * rows[..g..] mod q`` without per-digit
+             reducer: BatchBarrettReducer) -> np.ndarray:
+    """``sum_g ext[..., g, :] * rows[..., g, :] mod q`` without per-digit
     reduction — the host mirror of a tensor-core MAC tile.
 
     Operands are ``(P, ..., G, N)`` tensors (prime axis leading, digit
-    axis ``lane_axis``; pass ``lane_axis=-1`` for the digit-innermost
-    ``(P, N, G)`` layout the stacked NTT works in). ``rows`` must be
+    axis ``-2``, the stacked NTT's natural layout). ``rows`` must be
     canonical; ``ext`` may be *lazy* — any representatives ``< 2**32``
     give the same result, so the stacked NTT can skip its final
     canonicalization.
 
     The split-accumulate kernel lives in the active backend
     (:mod:`repro.backend`): each ``< 2**63`` product splits into 32-bit
-    halves which accumulate exactly in uint64 over the digit axis (safe
-    for G up to ~2**25), and the partial sums fold with
+    halves which accumulate exactly in uint64, one digit slice at a time
+    (G up to ``max_lanes``), and the partial sums fold with
     ``(hi mod q) * (2**32 mod q) + lo``. The result is canonical and
     bit-identical to the reference ``acc = acc + reduce(ext_g * rows_g)``
     chain on every backend.
     """
-    return active_backend().wide_dot(ext, rows, reducer.q_row(),
-                                     lane_axis=lane_axis)
+    return active_backend().wide_dot(ext, rows, reducer.q_row())
 
 
 @bounded(out_q=1,
@@ -147,13 +135,12 @@ def wide_dot(ext: np.ndarray, rows: np.ndarray,
                  "a_stack": {"q": 1}})
 def stacked_inner_product(ext_eval: np.ndarray, b_stack: np.ndarray,
                           a_stack: np.ndarray,
-                          reducer: BatchBarrettReducer, *,
-                          lane_axis: int = -2
+                          reducer: BatchBarrettReducer
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """KeySwitch InnerProduct against both evk components in one shape:
     ``(acc0, acc1) = (ext . b, ext . a)`` reduced over the digit axis."""
-    return wide_dot(ext_eval, b_stack, reducer, lane_axis=lane_axis), \
-        wide_dot(ext_eval, a_stack, reducer, lane_axis=lane_axis)
+    return wide_dot(ext_eval, b_stack, reducer), \
+        wide_dot(ext_eval, a_stack, reducer)
 
 
 @bounded(in_q=1, out_q=1, params={"x_eval": {"q": 1}})

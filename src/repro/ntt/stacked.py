@@ -226,8 +226,7 @@ def _check_shape(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
 @takes_form(x="coeff")
 @bounded(in_bits=32, out_q=1, out_q_lazy=2, params={"x": {"bits": 32}})
 def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
-                           lazy: bool = False,
-                           t_out: bool = False) -> np.ndarray:
+                           lazy: bool = False) -> np.ndarray:
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
@@ -242,15 +241,10 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
     canonical transform; backend-specific, and the numpy backend returns
     canonical values anyway) — for consumers that tolerate 32-bit
     representatives, e.g. the wide-accumulator inner product.
-    ``t_out``: return the digit-innermost ``(P, N, G)`` layout (3-D
-    batches only); consumers that reduce over the digit axis read it
-    contiguously.
     """
     squeeze = x.ndim == 2
-    if squeeze and t_out:
-        raise ValueError("t_out requires a 3-D (P, G, N) batch")
     x = _check_shape(x, stack)
-    out = active_backend().ntt_forward(x, stack, lazy=lazy, t_out=t_out)
+    out = active_backend().ntt_forward(x, stack, lazy=lazy)
     return out[:, 0, :] if squeeze else out
 
 

@@ -22,6 +22,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..analysis.annotations import bounded
+from ..backend.numpy_backend import bconv_gemm
 from .barrett import BarrettReducer, BatchBarrettReducer
 from .modmath import modinv
 
@@ -144,6 +145,9 @@ def extend_basis(residues: np.ndarray, source: RNSBasis, target: RNSBasis,
         overshoot ``u`` is estimated with a float sum and subtracted, giving
         the exact value whenever the input is below ``prod(source)``.
 
+    The conversion itself is one exact float64 GEMM
+    (:func:`~repro.backend.numpy_backend.bconv_gemm`).
+
     Returns
     -------
     ``(len(target), ..., n)`` uint64 array of residues w.r.t. ``target``.
@@ -164,100 +168,103 @@ def extend_basis(residues: np.ndarray, source: RNSBasis, target: RNSBasis,
                 residues[0], (len(target),) + residues.shape[1:]
             )
         )
-    ndim = residues.ndim
     # y_i = x_i * hat_inv_i mod q_i  (all < q_i < 2**31) — one row-wise pass.
-    y = source.batch.mul_mat(residues, _const_col(source.hat_invs, ndim))
-
-    # Accumulate sum_i y_i * (Q/q_i mod t) over all target rows at once;
-    # only the (small) digit dimension remains a Python loop.
-    out = np.zeros((len(target),) + residues.shape[1:], dtype=np.uint64)
-    tgt = target.batch
-    for i, q_i in enumerate(source.moduli):
-        hat_col = _const_col(
-            [(source.product // q_i) % t for t in target.moduli], ndim
-        )
-        out = tgt.add_mat(out, tgt.mul_mat(y[i][None, ...], hat_col))
-
+    y = source.batch.mul_mat(
+        residues, _const_col(source.hat_invs, residues.ndim)
+    ).reshape(len(source), -1)
     if exact:
-        # The approximate result equals x + u*Q with
-        # u = floor(sum_i y_i / q_i); float64 is ample for |source| <= ~64
-        # 31-bit primes (relative error ~ 2**-52 per term) — EXCEPT when
-        # the true ratio sits next to an integer (x close to 0 or to Q),
-        # where accumulated rounding can push the estimate across the
-        # floor boundary and the result ends up off by a full Q. Guard:
-        # lanes within _RATIO_EPS of an integer recompute u exactly from
-        # the bigint CRT sum.
-        ratio = _ratio_estimate(y, source.moduli)
-        u = np.floor(ratio)
-        frac = ratio - u
-        suspect = np.minimum(frac, 1.0 - frac) < _RATIO_EPS
-        if np.any(suspect):
-            y_flat = y.reshape(len(source), -1)
-            u_flat = u.reshape(-1)
-            for j in np.flatnonzero(suspect.reshape(-1)):
-                u_flat[j] = _exact_total(
-                    y_flat, source._hats, j
-                ) // source.product
-        u = u.astype(np.uint64)
-        q_mod_t_col = _const_col(
-            [source.product % t for t in target.moduli], ndim
-        )
-        # u < len(source) <= 64 — far below any modulus, but the bound
-        # comes from the float estimate, outside the interval domain.
-        u_rows = tgt.reduce_mat(  # fhelint: allow-B-RED (u < alpha)
-            np.broadcast_to(u, out.shape)
-        )
-        correction = tgt.mul_mat(u_rows, q_mod_t_col)
-        out = tgt.sub_mat(out, correction)
-    return out
+        # The overshoot u joins the GEMM as one more row, against -Q mod t.
+        y = np.concatenate([y, _overshoot(y, source)[None]])
+    plan = _bconv_plan((tuple(source.moduli),), tuple(target.moduli), exact)
+    return bconv_gemm(y[None], *plan).reshape(
+        (len(target),) + residues.shape[1:]
+    )
+
+
+@bounded(assume=True, out_bits=11)
+def _overshoot(y: np.ndarray, source: RNSBasis) -> np.ndarray:
+    """``u = floor(sum_i y_i / q_i)`` per lane of ``(alpha, M)`` CRT
+    digits ``y``: the approximate extension is ``x + u * Q``, ``u <
+    alpha``.
+
+    float64 is ample for ``alpha <= ~64`` 31-bit primes (relative error
+    ~ 2**-52 per term) — EXCEPT when the true ratio sits next to an
+    integer (``x`` close to 0 or to ``Q``), where accumulated rounding
+    can push the estimate across the floor boundary and the result ends
+    up off by a full ``Q``. Guard: lanes within :data:`_RATIO_EPS` of an
+    integer recompute ``u`` exactly from the bigint CRT sum.
+    """
+    ratio = _ratio_estimate(y, source.moduli)
+    u = np.floor(ratio)
+    frac = ratio - u
+    for j in np.flatnonzero(np.minimum(frac, 1.0 - frac) < _RATIO_EPS):
+        u[j] = _exact_total(y, source._hats, j) // source.product
+    return u.astype(np.uint64)
+
+
+@lru_cache(maxsize=256)
+@bounded(assume=True, out_q=1)
+def _bconv_plan(groups: tuple, target: tuple, exact: bool = False):
+    """``(table, limbs, width, q)`` for
+    :func:`~repro.backend.numpy_backend.bconv_gemm` of each source group
+    (a tuple of primes) onto the ``target`` primes ``q``.
+
+    ``table`` is ``(G, T, limbs * alpha)`` float64: per group ``g``, the
+    hats ``(prod(g) / g_i) mod t`` (zero for a short group's padding
+    columns, plus ``-prod(g) mod t`` for the ``exact`` overshoot row),
+    scaled per limb and balanced into ``(-t/2, t/2]``. ``limbs`` and
+    ``width`` come from :func:`~repro.ntt.stacked.limb_split` over the
+    ``alpha`` contracted rows.
+    """
+    # Lazy import: repro.ntt imports this package.
+    from ..ntt.stacked import _limb_scaled, limb_split
+
+    alpha = max(len(g) for g in groups) + exact
+    hats = np.zeros((len(target), len(groups), alpha), dtype=np.uint64)
+    for gi, g in enumerate(groups):
+        prod = 1
+        for q_i in g:
+            prod *= q_i
+        cols = [prod // q_i for q_i in g] + [-prod] * exact
+        hats[:, gi, :len(cols)] = [[c % t for c in cols] for t in target]
+    limbs, width = limb_split(alpha, max(target))
+    q = np.array(target, dtype=np.uint64)
+    table = _limb_scaled(hats, q[:, None, None], limbs, width)
+    return np.ascontiguousarray(table.transpose(1, 0, 2)), limbs, width, q
 
 
 @lru_cache(maxsize=256)
 @bounded(assume=True, out_q=1)
 def _stacked_modup_plan(source_moduli: tuple, groups: tuple,
                         target_moduli: tuple):
-    """Precomputed constants for :func:`extend_basis_stacked`.
+    """Precomputed constants for :func:`extend_basis_stacked`:
+    ``(rows, reducer, hat_inv_col, bconv)``.
 
-    Returns ``(flat_rows, flat_reducer, hat_inv_col, steps)`` where
-    ``steps[k] = (group_positions, y_rows, hat_cols)`` vectorizes the
-    k-th prime of every digit across all digits at once:
-    ``hat_cols[t, j] = (prod(digit_j) / q_{rows[j]}) mod target_t``.
-
-    The ``out_q=1`` axiom covers the numeric leaves: every constant in
-    the plan (``hat_inv_col``, ``hat_cols``) is reduced below its row's
-    modulus at construction.
+    ``rows`` gathers every digit's primes into ``(G, alpha)`` order, a
+    short digit padded with its first row against a zero ``hat_inv``,
+    so ``y = x * hat_inv`` is zero there; ``bconv`` is the digits'
+    :func:`_bconv_plan`. The ``out_q=1`` axiom covers the numeric
+    leaves: every constant is reduced below its row's modulus.
     """
-    sub_products = []
-    hat_invs = []
+    alpha = max(len(g) for g in groups)
+    rows, hat_invs = [], []
     for g in groups:
         prod = 1
         for i in g:
             prod *= source_moduli[i]
-        sub_products.append(prod)
         for i in g:
             q_i = source_moduli[i]
-            hat = prod // q_i
-            hat_invs.append(modinv(hat % q_i, q_i))
-    flat_rows = [i for g in groups for i in g]
-    flat_reducer = BatchBarrettReducer([source_moduli[i] for i in flat_rows])
+            rows.append(i)
+            hat_invs.append(modinv(prod // q_i % q_i, q_i))
+        rows += [g[0]] * (alpha - len(g))
+        hat_invs += [0] * (alpha - len(g))
+    reducer = BatchBarrettReducer([source_moduli[i] for i in rows])
     hat_inv_col = np.array(hat_invs, dtype=np.uint64).reshape(-1, 1)
-
-    alpha = max(len(g) for g in groups)
-    steps = []
-    offsets = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    for k in range(alpha):
-        positions = [gi for gi, g in enumerate(groups) if len(g) > k]
-        y_rows = np.array(
-            [offsets[gi] + k for gi in positions], dtype=np.intp
-        )
-        hat_cols = np.array(
-            [[(sub_products[gi] // source_moduli[groups[gi][k]]) % t
-              for gi in positions]
-             for t in target_moduli],
-            dtype=np.uint64,
-        )[:, :, None]
-        steps.append((np.array(positions, dtype=np.intp), y_rows, hat_cols))
-    return flat_rows, flat_reducer, hat_inv_col, steps
+    bconv = _bconv_plan(
+        tuple(tuple(source_moduli[i] for i in g) for g in groups),
+        target_moduli,
+    )
+    return rows, reducer, hat_inv_col, bconv
 
 
 @bounded(in_q=1, out_q=1, out_q_lazy=2, params={"residues": {"q": 1}})
@@ -286,8 +293,11 @@ def extend_basis_stacked(residues: np.ndarray, groups: Sequence[Sequence[int]],
         unreduced broadcast is already a valid lazy representative for the
         stacked NTT and the reduction is skipped entirely.
 
-    Per digit, results are bit-identical to ``extend_basis`` on that
-    digit's rows (canonical residues; lazy outputs reduce to them).
+    Otherwise every digit converts in one batched GEMM
+    (:func:`~repro.backend.numpy_backend.bconv_gemm`) over the digits'
+    cached hat tables. Per digit, results are
+    bit-identical to ``extend_basis`` on that digit's rows (canonical
+    residues; lazy outputs reduce to them).
     """
     if not groups or any(len(g) == 0 for g in groups):
         raise ValueError("every digit group must hold at least one prime")
@@ -302,22 +312,14 @@ def extend_basis_stacked(residues: np.ndarray, groups: Sequence[Sequence[int]],
             return np.ascontiguousarray(out)
         return target.batch.reduce_mat(np.ascontiguousarray(out))
 
-    plan = _stacked_modup_plan(
+    rows, reducer, hat_inv_col, bconv = _stacked_modup_plan(
         tuple(source.moduli), tuple(tuple(g) for g in groups),
         tuple(target.moduli),
     )
-    flat_rows, flat_reducer, hat_inv_col, steps = plan
     # y_i = x_i * hat_inv_i mod q_i, every digit's rows in one pass (each
     # row scaled within its own digit's sub-basis).
-    y = flat_reducer.mul_mat(residues[flat_rows], hat_inv_col)
-
-    out = np.zeros((num_target, num_groups, n), dtype=np.uint64)
-    tgt = target.batch
-    # alpha passes, each handling the k-th prime of every digit at once.
-    for positions, y_rows, hat_cols in steps:
-        contrib = tgt.mul_mat(y[y_rows][None, :, :], hat_cols)
-        out[:, positions, :] = tgt.add_mat(out[:, positions, :], contrib)
-    return out
+    y = reducer.mul_mat(residues[rows], hat_inv_col)
+    return bconv_gemm(y.reshape(num_groups, -1, n), *bconv)
 
 
 @bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})

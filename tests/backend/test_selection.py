@@ -112,8 +112,8 @@ def test_self_check_rejects_wrong_transform():
     class Broken(NumpyBackend):
         name = "broken-ntt"
 
-        def ntt_forward(self, x, stack, *, lazy=False, t_out=False):
-            out = super().ntt_forward(x, stack, lazy=lazy, t_out=t_out)
+        def ntt_forward(self, x, stack, *, lazy=False):
+            out = super().ntt_forward(x, stack, lazy=lazy)
             out[..., 0] += np.uint64(1)
             return out
 

@@ -3,9 +3,8 @@
 The ``(P, G, N)`` stacked transforms must agree bit-for-bit with running
 the per-prime radix-2 transforms row by row, for every digit-lane
 count, for 2-D matrix inputs, and regardless of which lazy
-representatives (< 2**32) the ModUp stage feeds in. The lazy output and
-digit-innermost (``t_out``) modes must be congruent views of the same
-canonical transform.
+representatives (< 2**32) the ModUp stage feeds in. The lazy output
+must be congruent to the canonical transform.
 """
 
 import numpy as np
@@ -132,21 +131,6 @@ class TestLazyModes:
         lazy = stacked_negacyclic_ntt(data, stack, lazy=True)
         assert (lazy < 2 * q_col).all()
         assert np.array_equal(np.minimum(lazy, lazy - q_col), canonical)
-
-    def test_t_out_layout(self):
-        """t_out=True returns the digit-innermost (P, N, G) transpose of
-        the natural-layout result."""
-        n, g = 64, 4
-        moduli = tuple(find_ntt_primes(3, 28, n))
-        stack = get_shoup_stack(moduli, n)
-        rng = np.random.default_rng(12)
-        data = rand_batch(moduli, g, n, rng)
-        natural = stacked_negacyclic_ntt(data, stack)
-        t_layout = stacked_negacyclic_ntt(data, stack, t_out=True)
-        assert t_layout.shape == (len(moduli), n, g)
-        assert np.array_equal(t_layout.transpose(0, 2, 1), natural)
-        with pytest.raises(ValueError):
-            stacked_negacyclic_ntt(data[:, 0], stack, t_out=True)
 
 
 class TestTableCache:
