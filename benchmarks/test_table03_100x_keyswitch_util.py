@@ -26,7 +26,7 @@ KINDS = {"ntt": "NTT", "modup": "ModUP", "intt": "INTT",
 
 def profile_kernel_classes(params):
     """Utilization per kernel class of the 100x_opt KeySwitch."""
-    ops = HundredXOps(params, optimized=True)
+    ops = HundredXOps(params)
     result = ops.simulate("keyswitch")
     groups = {}
     for prof in result.profiles:

@@ -1,6 +1,6 @@
 """Table VIII: latency of key homomorphic operations (us), SET-C/D/E.
 
-Simulated WarpDrive and 100x/100x_opt rows next to the paper's published
+Simulated WarpDrive and 100x_opt rows next to the paper's published
 columns (including the closed-source Liberate.FHE). Shape checks: the
 paper's per-set speedup floors for WarpDrive over 100x_opt — >=82%/51%/30%
 for HMULT — and the operation ordering.
@@ -22,16 +22,13 @@ def measure():
     for set_name in SETS:
         params = ParameterSets.by_name(set_name)
         wd = OperationScheduler(params)
-        opt = HundredXOps(params, optimized=True)
-        orig = HundredXOps(params, optimized=False)
+        opt = HundredXOps(params)
         for table_op, op in OPS:
             cell = data.setdefault(table_op, {})
             cell.setdefault("WarpDrive (sim)", {})[set_name] = \
                 wd.latency_us(op)
             cell.setdefault("100x_opt (sim)", {})[set_name] = \
                 opt.latency_us(op)
-            cell.setdefault("100x V100 (sim)", {})[set_name] = \
-                orig.latency_us(op)
     return data
 
 

@@ -20,8 +20,7 @@ def measure():
     for s in SETS:
         params = ParameterSets.by_name(s)
         data[s] = {
-            "100x_opt": HundredXOps(params,
-                                    optimized=True).keyswitch_profile(),
+            "100x_opt": HundredXOps(params).keyswitch_profile(),
             "WarpDrive": OperationScheduler(params).profile("keyswitch"),
         }
     return data

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.ckks import CkksContext, CkksParams
 from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
-from repro.workloads import simulate_bootstrap
+from repro.workloads import simulate_recorded_bootstrap
 
 
 def main():
@@ -48,9 +48,10 @@ def main():
     print(f"square error           : "
           f"{np.max(np.abs(dec_sq - message**2)):.2e}")
 
-    print("\nFull-scale cost (simulated A100, Boot parameter set):")
+    print("\nFull-scale cost (simulated A100, Boot parameter set, "
+          "recorded bootstrap):")
     for bs in (1, 16):
-        timing = simulate_bootstrap(batch=bs)
+        timing = simulate_recorded_bootstrap(batch=bs)
         paper = 121 if bs == 1 else 97
         print(f"  BS={bs:<3} amortized {timing.amortized_ms:6.1f} ms "
               f"(paper: {paper} ms)")

@@ -15,53 +15,33 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..ckks.params import CkksParams
-from ..core import costs
 from ..core import kernels as K
-from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig, WORD_BYTES
+from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
 from ..core.ntt_engine import WarpDriveNtt
 from ..gpusim import (
     A100_PCIE_80G,
     ExecutionResult,
     GpuSpec,
     KernelSpec,
-    V100,
     run_serial,
 )
 
 _EFFICIENCY = 0.5
-#: 64-bit modular arithmetic on 32-bit integer lanes costs ~3x the
-#: instructions of the 32-bit form (128-bit products via four 32x32
-#: halves plus carries).
-_WORD64_OP_FACTOR = 3.0
 
 
 class HundredXOps:
-    """100x homomorphic operations (kernel-fused, polynomial-level).
+    """100x_opt homomorphic operations (kernel-fused, polynomial-level):
+    WarpDrive NTT kernels and 32-bit arithmetic, keeping 100x's
+    polynomial-level launch structure."""
 
-    Parameters
-    ----------
-    optimized:
-        False — original 100x: 64-bit words, CUDA-core radix NTT, V100 by
-        default. True — 100x_opt: WarpDrive NTT kernels and 32-bit
-        arithmetic on the A100, keeping the polynomial-level launch
-        structure.
-    """
-
-    def __init__(self, params: CkksParams, *, optimized: bool = False,
-                 device: GpuSpec = None,
+    def __init__(self, params: CkksParams, *,
+                 device: GpuSpec = A100_PCIE_80G,
                  geometry: GeometryConfig = DEFAULT_GEOMETRY):
         self.params = params
-        self.optimized = optimized
-        if device is None:
-            device = A100_PCIE_80G if optimized else V100
         self.device = device
         self.geometry = geometry
-        self.word_bytes = WORD_BYTES if optimized else 8
-        self.op_factor = 1.0 if optimized else _WORD64_OP_FACTOR
-        self._wd_ntt = (
-            WarpDriveNtt(params.n, device=device, geometry=geometry)
-            if optimized else None
-        )
+        self._wd_ntt = WarpDriveNtt(params.n, device=device,
+                                    geometry=geometry)
 
     # -- NTT kernels (per polynomial!) -------------------------------------------------
 
@@ -70,32 +50,8 @@ class HundredXOps:
         """NTT of ``transforms`` residue rows as ONE polynomial-level
         launch (the kernel-fused form: all primes of one polynomial in a
         single kernel, but no cross-polynomial dimension)."""
-        if self.optimized:
-            plan = self._wd_ntt.kernel_plan(transforms, inverse=inverse)
-            return [k.renamed(name) for k in plan]
-        n = self.params.n
-        import math
-
-        butterflies = (n // 2) * int(math.log2(n)) * transforms
-        elems = n * transforms
-        return [
-            KernelSpec(
-                name=name,
-                blocks=self.geometry.blocks_for(elems),
-                warps_per_block=self.geometry.warps_per_block,
-                int32_ops=butterflies * costs.BUTTERFLY_OPS * self.op_factor
-                + elems * costs.MONTGOMERY_MULMOD_OPS * self.op_factor,
-                gmem_read_bytes=elems * self.word_bytes * 1.1,
-                gmem_write_bytes=elems * self.word_bytes,
-                smem_read_bytes=elems * self.word_bytes
-                * int(math.log2(n)) / 2,
-                smem_write_bytes=elems * self.word_bytes
-                * int(math.log2(n)) / 2,
-                smem_per_block_bytes=48 * 1024,
-                efficiency=_EFFICIENCY,
-                tags={"kind": "ntt", "system": "100x"},
-            ).validate()
-        ]
+        plan = self._wd_ntt.kernel_plan(transforms, inverse=inverse)
+        return [k.renamed(name) for k in plan]
 
     # -- keyswitch plan -----------------------------------------------------------------
 
@@ -116,34 +72,33 @@ class HundredXOps:
         digits = min(params.dnum, -(-lvl // alpha))
         ext = lvl + special
         geo = self.geometry
-        w_factor = self.word_bytes / WORD_BYTES
 
         plan: List[KernelSpec] = []
         plan += self.ntt_kernels("100x.intt_input", lvl, inverse=True)
         for d in range(digits):
-            plan.append(_scale_words(K.modup_kernel(
+            plan.append(K.modup_kernel(
                 f"100x.modup[{d}]", n, alpha, ext, polys=1, geometry=geo,
                 efficiency=_EFFICIENCY, system="100x",
-            ), self.op_factor, w_factor))
+            ))
             plan += self.ntt_kernels(f"100x.ntt_digit[{d}]", ext)
             for acc in range(2):
-                plan.append(_scale_words(K.modmul_kernel(
+                plan.append(K.modmul_kernel(
                     f"100x.mac[{d},{acc}]", n * ext, operands=3,
                     geometry=geo, system="100x",
-                ), self.op_factor, w_factor))
+                ))
         for acc in range(2):
             plan += self.ntt_kernels(f"100x.intt_acc{acc}", ext,
                                      inverse=True)
         for acc in range(2):
-            plan.append(_scale_words(K.moddown_kernel(
+            plan.append(K.moddown_kernel(
                 f"100x.moddown{acc}", n, lvl, special, geometry=geo,
                 efficiency=_EFFICIENCY, system="100x",
-            ), self.op_factor, w_factor))
+            ))
         for acc in range(2):
             plan += self.ntt_kernels(f"100x.ntt_out{acc}", lvl)
-        plan.append(_scale_words(K.modadd_kernel(
+        plan.append(K.modadd_kernel(
             "100x.combine", 2 * n * lvl, geometry=geo, system="100x",
-        ), self.op_factor, w_factor))
+        ))
         return plan
 
     # -- homomorphic ops --------------------------------------------------------------------
@@ -154,22 +109,21 @@ class HundredXOps:
         lvl = level + 1
         n = params.n
         geo = self.geometry
-        w_factor = self.word_bytes / WORD_BYTES
 
         if op in ("hadd", "hsub"):
             # Polynomial-level: one kernel per polynomial.
             return [
-                _scale_words(K.modadd_kernel(
+                K.modadd_kernel(
                     f"100x.{op}[{p}]", n * lvl, geometry=geo, system="100x",
-                ), self.op_factor, w_factor)
+                )
                 for p in range(2)
             ]
         if op == "pmult":
             return [
-                _scale_words(K.modmul_kernel(
+                K.modmul_kernel(
                     f"100x.pmult[{p}]", n * lvl, geometry=geo,
                     system="100x",
-                ), self.op_factor, w_factor)
+                )
                 for p in range(2)
             ]
         if op == "keyswitch":
@@ -179,20 +133,20 @@ class HundredXOps:
             for p in range(2):
                 plan += self.ntt_kernels(f"100x.rescale.intt[{p}]", lvl,
                                          inverse=True)
-            plan.append(_scale_words(K.elementwise_kernel(
+            plan.append(K.elementwise_kernel(
                 "100x.rescale.divide", n * (lvl - 1) * 2,
                 ops_per_element=9, read_words=2, write_words=1,
                 geometry=geo, system="100x",
-            ), self.op_factor, w_factor))
+            ))
             for p in range(2):
                 plan += self.ntt_kernels(f"100x.rescale.ntt[{p}]", lvl - 1)
             return plan
         if op == "hmult":
             plan = [
-                _scale_words(K.modmul_kernel(
+                K.modmul_kernel(
                     f"100x.hmult.d{i}", n * lvl, geometry=geo,
                     system="100x",
-                ), self.op_factor, w_factor)
+                )
                 for i in range(3)
             ]
             plan += self.keyswitch_plan(level)
@@ -200,10 +154,10 @@ class HundredXOps:
             return plan
         if op == "hrotate":
             plan = [
-                _scale_words(K.automorphism_kernel(
+                K.automorphism_kernel(
                     f"100x.rotate[{p}]", n, lvl, polys=1, geometry=geo,
                     system="100x",
-                ), self.op_factor, w_factor)
+                )
                 for p in range(2)
             ]
             plan += self.keyswitch_plan(level)
@@ -232,19 +186,3 @@ class HundredXOps:
             "latency_us": result.elapsed_us,
         }
 
-
-def _scale_words(spec: KernelSpec, op_factor: float,
-                 word_factor: float) -> KernelSpec:
-    """Adjust a 32-bit kernel descriptor for 64-bit words."""
-    if op_factor == 1.0 and word_factor == 1.0:
-        return spec
-    from dataclasses import replace
-
-    return replace(
-        spec,
-        int32_ops=spec.int32_ops * op_factor,
-        gmem_read_bytes=spec.gmem_read_bytes * word_factor,
-        gmem_write_bytes=spec.gmem_write_bytes * word_factor,
-        smem_read_bytes=spec.smem_read_bytes * word_factor,
-        smem_write_bytes=spec.smem_write_bytes * word_factor,
-    )

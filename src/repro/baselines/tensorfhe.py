@@ -27,6 +27,8 @@ from ..gpusim import (
 )
 from ..core import costs
 from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
+from ..core.scheduler import record_op
+from ..trace.lowering import lower_trace
 
 #: TensorFHE kernels achieve the same silicon fraction as other
 #: non-WarpDrive CUDA kernels in this reproduction (see EXPERIMENTS.md).
@@ -178,68 +180,24 @@ class TensorFheOps:
         self.params = params
         self.device = device
         self.geometry = geometry
-        self.ntt = TensorFheNtt(params.n, device=device, geometry=geometry)
 
     def hmult_latency_us(self, *, level: int = None,
                          batch: int = 32) -> float:
         """Amortized HMULT latency at TensorFHE's batch size.
 
-        Pipeline: tensor products + keyswitch where every NTT is the
-        5-stage kernel plan and the polynomial loop runs on the host (one
-        kernel sequence per polynomial — no intra-ciphertext parallelism).
+        The functional HMULT's recording lowered ``"tensorfhe"``-style:
+        every NTT pane is the 5-stage kernel plan and the polynomial loop
+        runs on the host (one kernel sequence per polynomial — no
+        intra-ciphertext parallelism), priced serially.
         """
         level = self.params.max_level if level is None else level
-        plan = self._hmult_plan(level, batch)
-        return run_serial(plan, self.device).elapsed_us / batch
+        dag = lower_trace(
+            record_op(self.params, "hmult", level), params=self.params,
+            style="tensorfhe", device=self.device, geometry=self.geometry,
+            batch=batch,
+        )
+        return run_serial(dag.specs, self.device).elapsed_us / batch
 
     def hmult_throughput_kops(self, *, level: int = None,
                               batch: int = 32) -> float:
         return 1e3 / self.hmult_latency_us(level=level, batch=batch)
-
-    def _hmult_plan(self, level: int, batch: int) -> List[KernelSpec]:
-        from ..core import kernels as K
-
-        n = self.params.n
-        lvl = level + 1
-        special = self.params.num_special
-        dnum = min(self.params.dnum, lvl)
-        plan: List[KernelSpec] = []
-        # Tensor product: 3 separate batched Hadamard kernels.
-        for name in ("d0", "d1", "d2"):
-            plan.append(K.modmul_kernel(
-                f"tf.hmult.{name}", n * lvl * batch,
-                geometry=self.geometry, efficiency=_EFFICIENCY,
-            ))
-        # KeySwitch with 5-stage NTTs, polynomial loop on the host: each
-        # digit's NTT is a separate 35-kernel sequence over the extended
-        # basis (amortized over the ciphertext batch).
-        ext = lvl + special
-        plan += self.ntt.kernel_plan(lvl * batch)  # INTT input
-        plan.append(K.modup_kernel(
-            "tf.modup", n, -(-lvl // dnum), ext, polys=dnum * batch,
-            geometry=self.geometry, efficiency=_EFFICIENCY,
-        ))
-        for d in range(dnum):
-            plan += self.ntt.kernel_plan(ext * batch)
-        plan.append(K.inner_product_kernel(
-            "tf.inner_product", n, ext * batch, dnum,
-            geometry=self.geometry, efficiency=_EFFICIENCY,
-        ))
-        plan += self.ntt.kernel_plan(ext * batch)  # INTT acc0
-        plan += self.ntt.kernel_plan(ext * batch)  # INTT acc1
-        for i in range(2):
-            plan.append(K.moddown_kernel(
-                f"tf.moddown{i}", n, lvl, special, polys=batch,
-                geometry=self.geometry, efficiency=_EFFICIENCY,
-            ))
-        plan += self.ntt.kernel_plan(lvl * batch)  # NTT out0
-        plan += self.ntt.kernel_plan(lvl * batch)  # NTT out1
-        # Rescale.
-        plan += self.ntt.kernel_plan(2 * lvl * batch)
-        plan.append(K.elementwise_kernel(
-            "tf.rescale.divide", n * (lvl - 1) * 2 * batch,
-            ops_per_element=9, read_words=2, write_words=1,
-            geometry=self.geometry, efficiency=_EFFICIENCY,
-        ))
-        plan += self.ntt.kernel_plan(2 * (lvl - 1) * batch)
-        return plan

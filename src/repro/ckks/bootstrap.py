@@ -60,11 +60,10 @@ from .poly import RnsPoly
 # -- declared tuning knobs (DESIGN.md §14) ----------------------------------
 #
 # The bootstrap layer owns the slim-bootstrap tunables.  Their single
-# source of truth is the registry: ``BootstrapConfig`` and the
-# hand-counted schedule layer (``workloads.bootstrap_workload``) both
-# read defaults through :func:`~repro.tuning.knobs.knob_default`, so the
-# two can never drift apart again (the ``fuse`` default did once,
-# pre-PR-3 — see tests/tuning/test_no_drift.py).
+# source of truth is the registry: ``BootstrapConfig`` and
+# :func:`~repro.tuning.build_pipeline` both read defaults through
+# :func:`~repro.tuning.knobs.knob_default`, so no consumer holds a
+# literal copy that could drift (see tests/tuning/test_no_drift.py).
 
 register_knob(KnobSpec(
     name="boot.sine_degree", layer="ckks",
@@ -378,8 +377,8 @@ class Bootstrapper:
             raised = Ciphertext(
                 out[0], out[1], self.ctx.params.max_level, ct.scale
             )
-            # Priced like the hand-counted schedules do: one element-wise
-            # pass writing both raised polynomials over the full chain.
+            # Priced as one element-wise pass writing both raised
+            # polynomials over the full chain.
             _temit("modadd", rows=2 * len(full), reads=(ct,),
                    writes=(raised,), scale=raised.scale)
         return raised

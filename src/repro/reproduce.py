@@ -74,25 +74,22 @@ def trace_summary() -> str:
     from .gpusim import profile_cache_stats
     from .workloads import (
         derived_hoisted_rotation_factor,
-        simulate_bootstrap,
         simulate_recorded_bootstrap,
     )
 
     set_c = OperationScheduler(ParameterSets.set_c())
     boot = OperationScheduler(ParameterSets.boot())
-    hand = simulate_bootstrap(scheduler=boot)
     rec = simulate_recorded_bootstrap(scheduler=boot)
     cache = profile_cache_stats()
     rows = [
         ["hoisting factor (SET-C)",
-         round(derived_hoisted_rotation_factor(set_c), 3), None],
-        ["Boot total ms", round(rec.total_ms, 1), round(hand.total_ms, 1)],
-        ["profile cache hit/miss",
-         f"{cache['hits']}/{cache['misses']}", None],
+         round(derived_hoisted_rotation_factor(set_c), 3)],
+        ["Boot total ms", round(rec.total_ms, 1)],
+        ["profile cache hit/miss", f"{cache['hits']}/{cache['misses']}"],
     ]
     return format_table(
-        ["metric", "traced", "hand-counted"], rows,
-        title="Trace-driven pricing vs hand counts (DESIGN.md §10)",
+        ["metric", "traced"], rows,
+        title="Trace-driven pricing (DESIGN.md §10)",
         col_width=14,
     )
 

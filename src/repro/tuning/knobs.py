@@ -269,8 +269,8 @@ def knob_default(name: str) -> Any:
     """The single source of truth for a knob's default value.
 
     Layer code reads its own defaults through this call (never a literal
-    copy), so every consumer — ``BootstrapConfig``, the hand-counted
-    schedules, ``build_pipeline`` — agrees by construction.
+    copy), so every consumer — ``BootstrapConfig``, the recorded
+    bootstrap, ``build_pipeline`` — agrees by construction.
     """
     spec = _REGISTRY.get(name)
     if spec is not None:  # fast path: declaring module already imported

@@ -1,8 +1,10 @@
 """FHE workloads: packed bootstrapping, HELR, ResNet-20, transciphering.
 
-Each workload has a full-scale *operation schedule* priced by the GPU
-simulator (for the Table XIV/XV reproductions) and, where feasible, a
-*functional mini* that really runs under encryption at toy ring sizes.
+The bootstrap is priced from one recording of the functional bootstrap.
+HELR, ResNet-20 and AES transciphering each have a full-scale *operation
+schedule* that counts its bootstraps, priced by the GPU simulator (for
+the Table XIV/XV reproductions), and, where feasible, a *functional
+mini* that really runs under encryption at toy ring sizes.
 """
 
 from .aes import ctr_encrypt, ctr_keystream, encrypt_block, expand_key
@@ -11,12 +13,6 @@ from .aes_transcipher import (
     cpu_transcipher_minutes,
     simulate_transcipher,
     transcipher_schedule,
-)
-from .bootstrap_workload import (
-    bootstrap_schedule,
-    eval_mod_schedule,
-    linear_transform_schedule,
-    simulate_bootstrap,
 )
 from .mlp import (
     DenseLayer,
@@ -50,10 +46,7 @@ from .recorded import (
     record_helr_iteration_trace,
     record_resnet_block_trace,
     record_transcipher_block_trace,
-    recorded_workload_timing,
     simulate_recorded_bootstrap,
-    simulate_recorded_helr_iteration,
-    simulate_recorded_resnet20,
 )
 
 __all__ = [
@@ -63,7 +56,6 @@ __all__ = [
     "TranscipherResult",
     "WorkloadSchedule",
     "WorkloadTiming",
-    "bootstrap_schedule",
     "conv2d_reference",
     "cpu_transcipher_minutes",
     "ctr_encrypt",
@@ -73,13 +65,10 @@ __all__ = [
     "random_mlp",
     "ctr_keystream",
     "encrypt_block",
-    "eval_mod_schedule",
     "expand_key",
     "helr_iteration_schedule",
-    "linear_transform_schedule",
     "plaintext_reference",
     "resnet20_schedule",
-    "simulate_bootstrap",
     "simulate_helr_iteration",
     "simulate_resnet20",
     "EncryptedStatistics",
@@ -92,8 +81,5 @@ __all__ = [
     "record_helr_iteration_trace",
     "record_resnet_block_trace",
     "record_transcipher_block_trace",
-    "recorded_workload_timing",
     "simulate_recorded_bootstrap",
-    "simulate_recorded_helr_iteration",
-    "simulate_recorded_resnet20",
 ]

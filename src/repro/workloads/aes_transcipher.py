@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from ..ckks.params import CkksParams, ParameterSets
 from ..core.scheduler import OperationScheduler
-from .bootstrap_workload import bootstrap_schedule
 from .schedules import WorkloadSchedule, WorkloadTiming
 
 #: Table XV workload: 2^15 blocks of 128 bits = 512 KB.
@@ -69,11 +68,7 @@ def transcipher_schedule(params: CkksParams = None) -> WorkloadSchedule:
         sched.add("hadd", lvl - 2, _STATE_SLICES * 3,
                   note=f"round{rnd}.addroundkey")
         # Bootstraps to refresh the slice pipelines.
-        boot = bootstrap_schedule(params)
-        for item in boot.items:
-            sched.add(item.op, item.level, item.count * _BOOTS_PER_ROUND,
-                      hoisted=item.hoisted,
-                      note=f"round{rnd}.boot.{item.note or item.op}")
+        sched.bootstraps += _BOOTS_PER_ROUND
     # Final keystream subtraction from the encoded symmetric ciphertexts.
     sched.add("hadd", 4, _STATE_SLICES, note="keystream.subtract")
     return sched

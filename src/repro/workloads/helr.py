@@ -4,9 +4,9 @@ Two layers, as everywhere in this reproduction:
 
 * :func:`helr_iteration_schedule` — the full-scale operation schedule of
   one training iteration [25] (BSGS matrix-vector products for the
-  forward pass and gradient, a degree-3 polynomial sigmoid, amortized
-  bootstrapping every ``boot_period`` iterations), priced by the
-  simulator;
+  forward pass and gradient, a degree-3 polynomial sigmoid, one recorded
+  bootstrap amortized over every ``boot_period`` iterations), priced by
+  the simulator;
 * :class:`EncryptedLogisticRegression` — a *functional* mini-HELR that
   actually trains on encrypted data at toy ring sizes, validated against
   plaintext gradient descent in tests.
@@ -22,7 +22,6 @@ import numpy as np
 from ..ckks import CkksContext, ParameterSets
 from ..ckks.params import CkksParams
 from ..core.scheduler import OperationScheduler
-from .bootstrap_workload import bootstrap_schedule
 from .schedules import WorkloadSchedule, WorkloadTiming
 
 #: Degree-3 least-squares fit of the sigmoid on [-8, 8] from [25].
@@ -31,14 +30,8 @@ SIGMOID3_COEFFS = (0.5, 0.15012, 0.0, -0.0015930)
 
 def helr_iteration_schedule(params: CkksParams = None, *,
                             features: int = 196,
-                            boot_period: int = 2,
-                            fft_factored: bool = False,
-                            fuse: int = 1) -> WorkloadSchedule:
-    """One HELR training iteration at the paper's HELR parameter set.
-
-    ``fft_factored``/``fuse`` select the sparse-factorized bootstrap
-    schedule; the defaults keep the published pricing.
-    """
+                            boot_period: int = 2) -> WorkloadSchedule:
+    """One HELR training iteration at the paper's HELR parameter set."""
     params = params or ParameterSets.helr()
     top = params.max_level
     sched = WorkloadSchedule("HELR-iteration")
@@ -59,10 +52,7 @@ def helr_iteration_schedule(params: CkksParams = None, *,
     sched.add("pmult", top - 5, 1, note="update.pmult")
     sched.add("hadd", top - 5, 1, note="update.add")
     # Amortized bootstrapping.
-    boot = bootstrap_schedule(params, fft_factored=fft_factored, fuse=fuse)
-    for item in boot.items:
-        sched.add(item.op, item.level, item.count / boot_period,
-                  hoisted=item.hoisted, note=f"boot.{item.note or item.op}")
+    sched.bootstraps = 1 / boot_period
     return sched
 
 

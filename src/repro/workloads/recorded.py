@@ -1,12 +1,11 @@
 """Recorded workload pricing: price what the functional layer launched.
 
-The hand-counted schedules of this package approximate workloads as op
-lists; this module closes the loop the trace layer opens — it *runs* the
+This module closes the loop the trace layer opens — it *runs* the
 functional bootstrap under :mod:`repro.trace`, lowers the recording to a
 kernel DAG at the target ring degree, and prices the DAG on the
-dependency-aware scheduler. The hand-counted lists stay around as
-cross-check oracles (``benchmarks/test_table14_workloads.py`` asserts the
-two price within 10% of each other).
+dependency-aware scheduler. It is the one bootstrap price: a
+:class:`~repro.workloads.schedules.WorkloadSchedule` carries its
+bootstraps as a count and prices each as this recording.
 
 **Proxy recording.** Trace events carry ring-degree-free shapes (rows,
 primes, digits, steps), so a run at a small proxy ring that shares the
@@ -16,12 +15,12 @@ only the per-kernel geometry changes at lowering time. Recording at
 ``n = 2**proxy_log2n`` makes tracing a 46-prime bootstrap a seconds-scale
 operation instead of an hours-scale one.
 
-The recorded bootstrap's configuration is calibrated to the published
-hand count (see :data:`RECORDED_BOOT_CONFIG` and DESIGN.md §10): the
-proxy slot count gives the same number of FFT stages as the hand
-schedule's 3-stage radix decomposition, and ``sine_degree`` is chosen so
-the Chebyshev product-recurrence issues about as many HMULTs as the hand
-count's deg-63 BSGS evaluation.
+The recorded bootstrap's configuration (:data:`RECORDED_BOOT_CONFIG`,
+DESIGN.md §10) follows the published slim bootstrap [14], [26]: the
+proxy slot count and ``fuse`` give the three FFT stages of its radix
+decomposition per transform, and ``sine_degree`` is chosen so the
+Chebyshev product-recurrence issues about as many HMULTs as its deg-63
+BSGS EvalMod.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from ..trace.lowering import chain_key, lower_trace, proxy_params_for
 from ..trace.ir import OpTrace
 from ..trace.recorder import record
 from ..tuning.knobs import IntRange, KnobSpec, knob_default, register_knob
-from .schedules import WorkloadSchedule, WorkloadTiming
+from .schedules import WorkloadTiming
 
 # -- declared tuning knobs (DESIGN.md §14) ----------------------------------
 #
@@ -58,14 +57,14 @@ register_knob(KnobSpec(
     name="recorded.fuse", layer="workloads",
     domain=IntRange(1, 8, grid=(1, 2, 3, 4, 5)), default=3,
     doc="FFT stage fusion of the recorded bootstrap (calibrated to the "
-        "hand count's 3-stage radix decomposition).",
+        "published 3-stage radix decomposition).",
     observe=lambda pipe: pipe.config["recorded.fuse"],
 ))
 register_knob(KnobSpec(
     name="recorded.sine_degree", layer="workloads",
     domain=IntRange(7, 255, grid=(15, 31, 63)), default=31,
     doc="Sine degree of the recorded bootstrap (calibrated to issue "
-        "about as many HMULTs as the hand count's deg-63 BSGS).",
+        "about as many HMULTs as the published deg-63 BSGS).",
     observe=lambda pipe: pipe.config["recorded.sine_degree"],
 ))
 
@@ -143,7 +142,7 @@ def record_helr_iteration_trace(params: CkksParams = None, *,
     The recording covers the per-sample dot product, the rotation
     all-reduce, the polynomial sigmoid and the masked gradient update of
     :class:`~repro.workloads.helr.EncryptedLogisticRegression` — the
-    dataflow the hand-counted ``helr_iteration_schedule`` approximates.
+    dataflow the full-scale ``helr_iteration_schedule`` counts.
     Cached per chain structure and knob set.
     """
     from .helr import EncryptedLogisticRegression
@@ -279,8 +278,8 @@ def _lower_for(trace: OpTrace, scheduler: OperationScheduler, *,
 
     ``optimize`` runs the :mod:`repro.trace.opt` pass pipeline over the
     recording first; ``search`` re-orders the lowered DAG with
-    :func:`~repro.trace.opt.schedule_search` (both off by default so the
-    recorded numbers stay directly comparable to the hand counts).
+    :func:`~repro.trace.opt.schedule_search` (both off by default: the
+    workload tables price the recording as launched).
     """
     if optimize:
         from ..trace.opt import optimize_trace
@@ -309,11 +308,10 @@ def simulate_recorded_bootstrap(params: CkksParams = None, *,
                                 seed: int = 0) -> WorkloadTiming:
     """Record one bootstrap functionally and price the lowered DAG.
 
-    The drop-in recorded counterpart of
-    :func:`~repro.workloads.bootstrap_workload.simulate_bootstrap`; the
-    breakdown buckets kernel time by recorded phase (StC / ModRaise /
-    CtS / EvalMod). Under SM-level overlap the buckets sum to slightly
-    more than the wall-clock ``total_us``.
+    Table XIV's Boot row and the price of every bootstrap a workload
+    schedule counts. The breakdown buckets kernel time by recorded phase
+    (StC / ModRaise / CtS / EvalMod). Under SM-level overlap the buckets
+    sum to slightly more than the wall-clock ``total_us``.
     """
     params = params or ParameterSets.boot()
     scheduler = scheduler or OperationScheduler(params)
@@ -332,78 +330,6 @@ def simulate_recorded_bootstrap(params: CkksParams = None, *,
     return WorkloadTiming(
         name=f"Boot-recorded[{style}{suffix}]", total_us=result.elapsed_us,
         batch=batch, breakdown=breakdown,
-    )
-
-
-def recorded_workload_timing(schedule: WorkloadSchedule,
-                             scheduler: OperationScheduler, *,
-                             batch: int = 1,
-                             recorded_boot: WorkloadTiming,
-                             ) -> WorkloadTiming:
-    """Price ``schedule`` with its embedded bootstraps swapped for a
-    recorded one.
-
-    Hand-counted workload schedules embed bootstraps as ``boot*``-noted
-    items (one ``ModRaise`` per bootstrap, scaled by the amortization
-    count). This prices every non-boot item exactly as
-    :meth:`WorkloadSchedule.price` would, then adds
-    ``bootstraps x recorded_boot.total_us`` — the recorded DAG replacing
-    the hand count.
-    """
-    core = WorkloadSchedule(schedule.name)
-    bootstraps = 0.0
-    for item in schedule.items:
-        note = item.note or item.op
-        if note.startswith("boot"):
-            if note.endswith("ModRaise"):
-                bootstraps += item.count
-            continue
-        core.items.append(item)
-    timing = core.price(scheduler, batch=batch)
-    boot_us = bootstraps * recorded_boot.total_us
-    timing.breakdown["boot(recorded)"] = boot_us
-    return WorkloadTiming(
-        name=f"{schedule.name}-recorded",
-        total_us=timing.total_us + boot_us, batch=batch,
-        breakdown=timing.breakdown,
-    )
-
-
-def simulate_recorded_helr_iteration(params: CkksParams = None, *,
-                                     batch: int = 1,
-                                     scheduler: OperationScheduler = None,
-                                     style: str = "pe",
-                                     boot_period: int = 2
-                                     ) -> WorkloadTiming:
-    """HELR iteration with the amortized bootstrap recorded, not counted."""
-    from .helr import helr_iteration_schedule
-
-    params = params or ParameterSets.helr()
-    scheduler = scheduler or OperationScheduler(params)
-    boot = simulate_recorded_bootstrap(
-        params, batch=batch, scheduler=scheduler, style=style
-    )
-    return recorded_workload_timing(
-        helr_iteration_schedule(params, boot_period=boot_period),
-        scheduler, batch=batch, recorded_boot=boot,
-    )
-
-
-def simulate_recorded_resnet20(params: CkksParams = None, *,
-                               batch: int = 1,
-                               scheduler: OperationScheduler = None,
-                               style: str = "pe") -> WorkloadTiming:
-    """ResNet-20 inference with every bootstrap recorded, not counted."""
-    from .resnet import resnet20_schedule
-
-    params = params or ParameterSets.resnet()
-    scheduler = scheduler or OperationScheduler(params)
-    boot = simulate_recorded_bootstrap(
-        params, batch=batch, scheduler=scheduler, style=style
-    )
-    return recorded_workload_timing(
-        resnet20_schedule(params), scheduler, batch=batch,
-        recorded_boot=boot,
     )
 
 

@@ -27,7 +27,6 @@ from ..ckks.poly import EVAL, RnsPoly
 from ..ckks.rns_context import get_rns_context
 from ..core.scheduler import OperationScheduler
 from ..ntt.stacked import get_shoup_stack, stacked_negacyclic_ntt
-from .bootstrap_workload import bootstrap_schedule
 from .schedules import WorkloadSchedule, WorkloadTiming
 
 #: ResNet-20 structure: (blocks, channels) per stage on 32x32 CIFAR.
@@ -48,14 +47,8 @@ _CONV_MULTIPLEX = 8
 _LEVELS_PER_BLOCK = 16
 
 
-def resnet20_schedule(params: CkksParams = None, *,
-                      fft_factored: bool = False,
-                      fuse: int = 1) -> WorkloadSchedule:
-    """The full ResNet-20 inference schedule.
-
-    ``fft_factored``/``fuse`` select the sparse-factorized bootstrap
-    schedule; the defaults keep the published pricing.
-    """
+def resnet20_schedule(params: CkksParams = None) -> WorkloadSchedule:
+    """The full ResNet-20 inference schedule."""
     params = params or ParameterSets.resnet()
     top = params.max_level
     sched = WorkloadSchedule("ResNet-20")
@@ -79,20 +72,12 @@ def resnet20_schedule(params: CkksParams = None, *,
     conv("stem", 16, level)
     level -= 1
 
-    boots = 0
     for stage_idx, (blocks, channels) in enumerate(RESNET20_STAGES):
         for block in range(blocks):
             name = f"s{stage_idx}b{block}"
             if level < _LEVELS_PER_BLOCK + 2:
                 # Bootstrap both residual-path ciphertexts.
-                boot = bootstrap_schedule(
-                    params, fft_factored=fft_factored, fuse=fuse
-                )
-                for item in boot.items:
-                    sched.add(item.op, item.level, item.count * 2,
-                              hoisted=item.hoisted,
-                              note=f"boot{boots}.{item.note or item.op}")
-                boots += 1
+                sched.bootstraps += 2
                 level = top - 4
             conv(f"{name}.conv1", channels, level)
             sched.add("hmult", level - 1, relu_mults,

@@ -1,14 +1,17 @@
 """Workload operation schedules and their pricing.
 
-A workload (bootstrapping, HELR, ResNet-20, AES transciphering) is a
-counted sequence of homomorphic operations at known levels. The schedule
-is priced with the same per-operation simulator used everywhere else,
-with one workload-specific mechanism: *hoisting* — consecutive rotations
-of the same input share their ModUp, so each additional hoisted rotation
-costs a fraction of a full HROTATE (the standard BSGS linear-transform
-optimization every system in Table XIV uses). The fraction is derived
-per parameter set from a recorded ``hoisted_rotations`` call
+A workload (HELR, ResNet-20, AES transciphering) is a counted sequence of
+homomorphic operations at known levels plus a count of bootstraps. The
+operations are priced with the same per-operation simulator used
+everywhere else, with one workload-specific mechanism: *hoisting* —
+consecutive rotations of the same input share their ModUp, so each
+additional hoisted rotation costs a fraction of a full HROTATE (the
+standard BSGS linear-transform optimization every system in Table XIV
+uses). The fraction is derived per parameter set from a recorded
+``hoisted_rotations`` call
 (:func:`repro.workloads.recorded.derived_hoisted_rotation_factor`).
+Every bootstrap is priced as the recorded functional bootstrap
+(:func:`repro.workloads.recorded.simulate_recorded_bootstrap`).
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ class WorkloadTiming:
 
 @dataclass
 class WorkloadSchedule:
-    """A named list of schedule items."""
+    """A named list of schedule items plus a (possibly fractional,
+    amortized) number of bootstraps."""
 
     name: str
     items: List[ScheduleItem] = field(default_factory=list)
+    bootstraps: float = 0.0
 
     def add(self, op: str, level: int, count: float = 1.0, *,
             hoisted: bool = False, note: str = "") -> "WorkloadSchedule":
@@ -67,10 +72,6 @@ class WorkloadSchedule:
             ScheduleItem(op=op, level=level, count=count, hoisted=hoisted,
                          note=note)
         )
-        return self
-
-    def extend(self, other: "WorkloadSchedule") -> "WorkloadSchedule":
-        self.items.extend(other.items)
         return self
 
     def op_counts(self) -> Dict[str, float]:
@@ -85,9 +86,14 @@ class WorkloadSchedule:
 
         ``batch`` ciphertexts ride through every kernel together (the
         amortization mechanism of Table XIV's BS column). Hoisted
-        rotations cost the trace-derived fraction of a full HROTATE.
+        rotations cost the trace-derived fraction of a full HROTATE; each
+        bootstrap costs one recorded bootstrap, booked as
+        ``boot(recorded)``.
         """
-        from .recorded import derived_hoisted_rotation_factor
+        from .recorded import (
+            derived_hoisted_rotation_factor,
+            simulate_recorded_bootstrap,
+        )
 
         factor = derived_hoisted_rotation_factor(scheduler)
         total = 0.0
@@ -105,6 +111,12 @@ class WorkloadSchedule:
             total += cost
             label = item.note or item.op
             breakdown[label] = breakdown.get(label, 0.0) + cost
+        if self.bootstraps:
+            boot = simulate_recorded_bootstrap(
+                scheduler.params, scheduler=scheduler, batch=batch
+            )
+            breakdown["boot(recorded)"] = self.bootstraps * boot.total_us
+            total += breakdown["boot(recorded)"]
         return WorkloadTiming(
             name=self.name, total_us=total, batch=batch,
             breakdown=breakdown,

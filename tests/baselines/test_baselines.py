@@ -78,7 +78,7 @@ class TestTensorFheOps:
 class TestHundredX:
     @pytest.fixture(scope="class")
     def hx(self):
-        return HundredXOps(ParameterSets.set_c(), optimized=True)
+        return HundredXOps(ParameterSets.set_c())
 
     def test_many_more_kernels_than_pe(self, hx):
         """Table IX: polynomial-level KeySwitch needs 5-10x the launches."""
@@ -87,8 +87,7 @@ class TestHundredX:
 
     def test_kernel_count_grows_with_set(self):
         counts = [
-            HundredXOps(ParameterSets.by_name(s), optimized=True)
-            .kernel_count("keyswitch")
+            HundredXOps(ParameterSets.by_name(s)).kernel_count("keyswitch")
             for s in ("SET-C", "SET-D", "SET-E")
         ]
         assert counts[0] < counts[1] < counts[2]
@@ -97,21 +96,9 @@ class TestHundredX:
         """Table VIII: >=30% HMULT advantage at every set."""
         for name in ("SET-C", "SET-D", "SET-E"):
             p = ParameterSets.by_name(name)
-            opt = HundredXOps(p, optimized=True).latency_us("hmult")
+            opt = HundredXOps(p).latency_us("hmult")
             wd = OperationScheduler(p).latency_us("hmult")
             assert opt / wd > 1.3
-
-    def test_opt_beats_original(self):
-        """100x_opt (32-bit + WarpDrive NTT) beats 64-bit 100x."""
-        p = ParameterSets.set_c()
-        original = HundredXOps(p, optimized=False).latency_us("hmult")
-        opt = HundredXOps(p, optimized=True).latency_us("hmult")
-        assert opt < original
-
-    def test_original_runs_on_v100(self):
-        hx = HundredXOps(ParameterSets.set_c(), optimized=False)
-        assert hx.device.name == "NVIDIA V100"
-        assert hx.latency_us("hadd") > 0
 
     def test_all_ops_supported(self, hx):
         for op in ("hadd", "hsub", "pmult", "hmult", "hrotate", "rescale",
@@ -131,7 +118,7 @@ class TestHundredX:
         """Table IX: WarpDrive's compute utilization beats 100x_opt."""
         for name in ("SET-C", "SET-D"):
             p = ParameterSets.by_name(name)
-            hx = HundredXOps(p, optimized=True).keyswitch_profile()
+            hx = HundredXOps(p).keyswitch_profile()
             wd = OperationScheduler(p).profile("keyswitch")
             assert wd["compute_util"] > hx["compute_util"]
 

@@ -6,11 +6,11 @@ from repro.ckks.params import ParameterSets
 from repro.core import OperationScheduler
 from repro.workloads import (
     WorkloadSchedule,
-    WorkloadTiming,
     derived_hoisted_rotation_factor,
     record_bootstrap_trace,
-    recorded_workload_timing,
     simulate_recorded_bootstrap,
+    simulate_transcipher,
+    transcipher_schedule,
 )
 
 
@@ -68,27 +68,35 @@ class TestRecordedBootstrap:
             assert counts.get(kind, 0) > 0, kind
 
 
-class TestRecordedWorkloadTiming:
-    def test_embedded_bootstraps_replaced(self, set_c_scheduler):
-        sched = WorkloadSchedule("w")
-        sched.add("hadd", 10, 3, note="core.add")
-        sched.add("hadd", 14, 0.5, note="boot.ModRaise")
-        sched.add("hmult", 11, 4, note="boot.EvalMod.baby")
-        recorded_boot = WorkloadTiming(name="b", total_us=1000.0, batch=1)
-        core_only = WorkloadSchedule("w")
-        core_only.add("hadd", 10, 3, note="core.add")
-        expected_core = core_only.price(set_c_scheduler).total_us
+class TestBootstrapCount:
+    """``WorkloadSchedule.price`` adds ``bootstraps`` recorded bootstraps."""
 
-        timing = recorded_workload_timing(
-            sched, set_c_scheduler, recorded_boot=recorded_boot)
-        assert timing.breakdown["boot(recorded)"] == pytest.approx(500.0)
-        assert timing.total_us == pytest.approx(expected_core + 500.0)
+    @pytest.fixture(scope="class")
+    def boot_scheduler(self):
+        return OperationScheduler(ParameterSets.boot())
 
-    def test_multiple_bootstraps_counted(self, set_c_scheduler):
-        sched = WorkloadSchedule("w")
-        sched.add("hadd", 14, 2, note="boot0.ModRaise")
-        sched.add("hadd", 14, 2, note="boot1.ModRaise")
-        recorded_boot = WorkloadTiming(name="b", total_us=10.0, batch=1)
-        timing = recorded_workload_timing(
-            sched, set_c_scheduler, recorded_boot=recorded_boot)
-        assert timing.total_us == pytest.approx(40.0)
+    def test_price_adds_recorded_bootstraps(self, boot_scheduler):
+        core = WorkloadSchedule("w")
+        core.add("hadd", 10, 3, note="core.add")
+        core.add("hmult", 11, 4, note="core.mult")
+        expected_core = core.price(boot_scheduler).total_us
+        boot_us = simulate_recorded_bootstrap(
+            scheduler=boot_scheduler).total_us
+
+        core.bootstraps = 0.5
+        timing = core.price(boot_scheduler)
+        assert timing.breakdown["boot(recorded)"] == 0.5 * boot_us
+        assert timing.total_us == pytest.approx(expected_core + 0.5 * boot_us)
+
+    def test_no_bootstraps_no_boot_entry(self, boot_scheduler):
+        timing = WorkloadSchedule("w").add("hadd", 10, 3).price(
+            boot_scheduler)
+        assert "boot(recorded)" not in timing.breakdown
+
+    def test_transcipher_bootstraps_recorded(self):
+        aes = OperationScheduler(ParameterSets.aes())
+        boot_us = simulate_recorded_bootstrap(
+            ParameterSets.aes(), scheduler=aes).total_us
+        timing = simulate_transcipher(scheduler=aes).timing
+        assert timing.breakdown["boot(recorded)"] == pytest.approx(
+            transcipher_schedule().bootstraps * boot_us)

@@ -1,63 +1,42 @@
 """Default-duplication regression: one registry default, every consumer.
 
-``BootstrapConfig`` and the hand-counted schedule layer once held
-independent literal copies of the same defaults (and drifted).  Both now
-resolve through :func:`repro.tuning.knob_default`, which these tests
-prove by overriding a default and watching *all* consumers move
-together — a reintroduced literal copy fails here immediately.
+``BootstrapConfig`` and a second bootstrap cost model once held
+independent literal copies of the same defaults (and drifted).  Every
+consumer now resolves through :func:`repro.tuning.knob_default`, which
+these tests prove by overriding a default and watching *all* consumers
+move together — a reintroduced literal copy fails here immediately.
 """
 
 from repro.ckks.bootstrap import BootstrapConfig
-from repro.ckks.params import ParameterSets
 from repro.tuning import build_pipeline, knob_default, overriding_default
-from repro.workloads.bootstrap_workload import (
-    bootstrap_schedule,
-    eval_mod_schedule,
-)
 from repro.workloads.recorded import RECORDED_BOOT_CONFIG, _recorded_boot_config
 
 
-def _item_counts(schedule):
-    return [(i.op, i.level, i.count, i.hoisted) for i in schedule.items]
-
-
 def test_bootstrap_config_and_schedule_share_fuse_default():
-    """Override ``boot.fuse`` once: the dataclass default, the
-    hand-counted schedule and the built pipeline all move."""
-    params = ParameterSets.boot()
+    """Override ``boot.fuse`` once: the dataclass default and the built
+    pipeline both move."""
     with overriding_default("boot.fft_factored", True), \
             overriding_default("boot.fuse", 4):
         assert BootstrapConfig().fuse == 4
-        assert _item_counts(bootstrap_schedule(params)) == _item_counts(
-            bootstrap_schedule(params, fft_factored=True, fuse=4)
-        )
         assert build_pipeline().boot_config.fuse == 4
     # Scoped: everything snaps back after the context exits.
     assert BootstrapConfig().fuse == 1
-    assert _item_counts(bootstrap_schedule(params)) == _item_counts(
-        bootstrap_schedule(params, fft_factored=False, fuse=1)
-    )
 
 
 def test_sine_degree_default_single_source():
     with overriding_default("boot.sine_degree", 127):
         assert BootstrapConfig().sine_degree == 127
-        assert _item_counts(eval_mod_schedule(10)) == _item_counts(
-            eval_mod_schedule(10, degree=127)
-        )
 
 
 def test_schedule_defaults_move_with_registry():
-    """A default changed in the registry changes the *priced* schedule —
-    no call site holds a stale literal."""
-    params = ParameterSets.boot()
-    baseline = _item_counts(bootstrap_schedule(params))
+    """A default changed in the registry changes the *built* bootstrap
+    configuration — no call site holds a stale literal."""
+    baseline = build_pipeline().boot_config
     with overriding_default("boot.fft_factored", True):
-        factored = _item_counts(bootstrap_schedule(params))
+        assert BootstrapConfig().fft_factored
+        factored = build_pipeline().boot_config
     assert factored != baseline
-    assert factored == _item_counts(
-        bootstrap_schedule(params, fft_factored=True)
-    )
+    assert factored.fft_factored and not baseline.fft_factored
 
 
 def test_recorded_boot_config_is_registry_view():

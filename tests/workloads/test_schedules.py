@@ -6,11 +6,10 @@ from repro.ckks import ParameterSets
 from repro.core import OperationScheduler
 from repro.workloads import (
     WorkloadSchedule,
-    bootstrap_schedule,
     helr_iteration_schedule,
     resnet20_schedule,
-    simulate_bootstrap,
     simulate_helr_iteration,
+    simulate_recorded_bootstrap,
     simulate_resnet20,
     simulate_transcipher,
     transcipher_schedule,
@@ -27,12 +26,6 @@ class TestScheduleContainer:
         s = WorkloadSchedule("t").add("hmult", 3, 2).add("hadd", 3, 5)
         counts = s.op_counts()
         assert counts == {"hmult": 2, "hadd": 5}
-
-    def test_extend(self):
-        a = WorkloadSchedule("a").add("hadd", 1, 1)
-        b = WorkloadSchedule("b").add("hmult", 1, 1)
-        a.extend(b)
-        assert len(a.items) == 2
 
     def test_hoisted_rotations_are_cheaper(self, boot_sched):
         full = WorkloadSchedule("f").add("hrotate", 10, 10)
@@ -57,49 +50,47 @@ class TestScheduleContainer:
 
 
 class TestBootstrapSchedule:
-    def test_contains_all_stages(self):
-        sched = bootstrap_schedule()
-        notes = {i.note for i in sched.items}
-        assert any("StC" in n for n in notes)
-        assert any("CtS" in n for n in notes)
-        assert any("EvalMod" in n for n in notes)
-        assert any("ModRaise" in n for n in notes)
+    """The recorded bootstrap: the one price every schedule's bootstrap
+    count is multiplied by."""
 
-    def test_uses_core_ops_only(self):
-        from repro.core.scheduler import HOMOMORPHIC_OPS
-
-        for item in bootstrap_schedule().items:
-            assert item.op in HOMOMORPHIC_OPS
+    def test_contains_all_stages(self, boot_sched):
+        t = simulate_recorded_bootstrap(scheduler=boot_sched)
+        for phase in ("StC", "ModRaise", "CtS", "EvalMod"):
+            assert t.breakdown[phase] > 0
 
     def test_simulated_time_in_range(self, boot_sched):
         """Paper: 121 ms at BS=1; the simulator's documented optimism is
         ~2x, so accept 20-200 ms."""
-        t = simulate_bootstrap(scheduler=boot_sched)
+        t = simulate_recorded_bootstrap(scheduler=boot_sched)
         assert 20 < t.total_ms < 200
 
     def test_batching_amortizes(self, boot_sched):
-        t1 = simulate_bootstrap(scheduler=boot_sched, batch=1)
-        t16 = simulate_bootstrap(scheduler=boot_sched, batch=16)
+        t1 = simulate_recorded_bootstrap(scheduler=boot_sched, batch=1)
+        t16 = simulate_recorded_bootstrap(scheduler=boot_sched, batch=16)
         assert t16.amortized_ms < t1.amortized_ms
 
 
 class TestHelrSchedule:
     def test_iteration_has_sigmoid_and_boot(self):
-        notes = {i.note for i in helr_iteration_schedule().items}
-        assert any("sigmoid" in n for n in notes)
-        assert any("boot" in n for n in notes)
+        sched = helr_iteration_schedule()
+        assert any("sigmoid" in i.note for i in sched.items)
+        assert sched.bootstraps == 0.5
+        assert helr_iteration_schedule(boot_period=4).bootstraps == 0.25
 
     def test_time_comparable_to_boot(self):
         """Paper: HELR 113 ms/iter vs Boot 121 ms — same scale."""
         helr = simulate_helr_iteration()
-        boot = simulate_bootstrap()
+        boot = simulate_recorded_bootstrap()
         assert 0.5 < helr.total_ms / boot.total_ms < 2.5
 
 
 class TestResnetSchedule:
     def test_includes_bootstraps(self):
-        notes = {i.note for i in resnet20_schedule().items}
-        assert any(n.startswith("boot") for n in notes)
+        # Two residual-path ciphertexts per refresh.
+        sched = resnet20_schedule()
+        assert sched.bootstraps > 0
+        assert sched.bootstraps % 2 == 0
+        assert not any("boot" in i.note for i in sched.items)
 
     def test_all_stages_present(self):
         notes = {i.note for i in resnet20_schedule().items}
@@ -113,15 +104,20 @@ class TestResnetSchedule:
         assert 1.0 < t.total_s < 12.0
 
     def test_resnet_much_slower_than_boot(self):
-        assert simulate_resnet20().total_us > 10 * simulate_bootstrap(
-        ).total_us
+        assert simulate_resnet20().total_us > 10 * (
+            simulate_recorded_bootstrap().total_us)
 
 
 class TestTranscipherSchedule:
     def test_ten_rounds(self):
-        notes = {i.note for i in transcipher_schedule().items}
+        from repro.workloads.aes_transcipher import _BOOTS_PER_ROUND
+
+        sched = transcipher_schedule()
+        notes = {i.note for i in sched.items}
         for rnd in range(10):
             assert any(n.startswith(f"round{rnd}.") for n in notes)
+        assert sched.bootstraps == 10 * _BOOTS_PER_ROUND
+        assert not any("boot" in n for n in notes)
 
     def test_latency_in_range(self):
         """Paper: 3.5 min; accept 0.7-7 given sim optimism."""
