@@ -6,20 +6,22 @@ of the batched slot pipeline:
 
 * **batched linear transforms** — ``LinearTransform.apply`` (cached
   eval-form diagonal stacks + one wide-accumulator pass per giant group)
-  against the per-diagonal ``apply_looped`` reference, asserted
-  bit-identical before timing;
+  against the per-diagonal ``linear_transform_looped`` reference,
+  asserted bit-identical before timing;
 * **FFT-factored bootstrapping** — the full slim bootstrap with
   SlotToCoeff/CoeffToSlot as O(log s) sparse radix stages
   (``BootstrapConfig(fft_factored=True)``) against the dense
   per-diagonal path, asserted to land inside the dense path's precision
-  envelope before timing.  The dense baseline runs ``apply_looped``
-  transforms — the pre-batching pipeline (with its plaintexts already
-  memoized, so the baseline is conservative).
+  envelope before timing.  The dense baseline runs
+  ``linear_transform_looped`` transforms — the pre-batching pipeline
+  (with its plaintexts already memoized, so the baseline is
+  conservative).
 
-Run::
+The reference pipeline is a test oracle (``tests/oracles``), so run from
+the repo root with the root on ``PYTHONPATH``::
 
-    PYTHONPATH=src python benchmarks/bench_bootstrap.py            # full run
-    PYTHONPATH=src python benchmarks/bench_bootstrap.py --reps 1   # CI smoke
+    PYTHONPATH=src:. python benchmarks/bench_bootstrap.py            # full run
+    PYTHONPATH=src:. python benchmarks/bench_bootstrap.py --reps 1   # CI smoke
 
 Results land in ``BENCH_bootstrap.json`` (see ``--out``); the committed
 headline is the dense-vs-factored full-bootstrap speedup at the
@@ -44,6 +46,7 @@ import numpy as np  # noqa: E402
 from repro.ckks import CkksContext, CkksParams
 from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
 from repro.ckks.linear_transform import LinearTransform
+from tests.oracles import linear_transform_looped
 
 #: Functional mid-size bootstrap set: big enough that the dense
 #: transforms dominate, small enough for CI.
@@ -73,14 +76,14 @@ def _bootstrap_dense_looped(boot, ct, keys):
     """The dense bootstrap with per-diagonal transform applies — the
     pre-batching pipeline, stage for stage like ``Bootstrapper.bootstrap``."""
     ev = boot.ctx.evaluator
-    ct = boot._stc.apply_looped(ct, keys)
+    ct = linear_transform_looped(boot._stc, ct, keys)
     ct = ev.level_down(ct, 0)
     raised_scale = ct.scale
     ct = boot.mod_raise(ct)
     conj = ev.conjugate(ct, keys)
     ct = ev.hadd_matched(
-        boot._cts1.apply_looped(ct, keys),
-        boot._cts2.apply_looped(conj, keys),
+        linear_transform_looped(boot._cts1, ct, keys),
+        linear_transform_looped(boot._cts2, conj, keys),
     )
     return boot.eval_mod(ct, keys, raised_scale=raised_scale)
 
@@ -104,7 +107,7 @@ def bench_linear_transform(ctx, keys, reps, rng):
         raise AssertionError(f"benchmark keys missing rotations {missing}")
     ct = ctx.encrypt(rng.normal(size=s) * 0.3, keys)
 
-    looped = lambda: lt.apply_looped(ct, keys)
+    looped = lambda: linear_transform_looped(lt, ct, keys)
     batched = lambda: lt.apply(ct, keys)
     _assert_bit_equal(looped(), batched(), "linear transform")
 

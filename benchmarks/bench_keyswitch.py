@@ -8,12 +8,12 @@ preserved per-digit/per-step reference implementations against the fused
 stacked pipelines (lazy-ModUp + Shoup-kernel stacked NTT + wide-MAC
 inner product + batched ModDown).
 
-Both paths are asserted bit-identical before any timing.
+Both paths are asserted bit-identical before any timing. The reference
+pipelines are test oracles (``tests/oracles``), so run from the repo root
+with the root on ``PYTHONPATH``::
 
-Run::
-
-    PYTHONPATH=src python benchmarks/bench_keyswitch.py            # full run
-    PYTHONPATH=src python benchmarks/bench_keyswitch.py --reps 1   # CI smoke
+    PYTHONPATH=src:. python benchmarks/bench_keyswitch.py            # full run
+    PYTHONPATH=src:. python benchmarks/bench_keyswitch.py --reps 1   # CI smoke
 
 Results land in ``BENCH_keyswitch.json`` (see ``--out``); the committed
 headline is the batched-vs-looped keyswitch speedup at SET-C
@@ -36,10 +36,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from repro.ckks import CkksContext, ParameterSets
-from repro.ckks.hoisting import hoisted_rotations, hoisted_rotations_looped
-from repro.ckks.keyswitch import keyswitch, keyswitch_looped
+from repro.ckks.hoisting import hoisted_rotations
+from repro.ckks.keyswitch import keyswitch
 from repro.ckks.poly import EVAL, RnsPoly
 from repro.numtheory.rns import RNSBasis
+from tests.oracles import hoisted_rotations_looped, keyswitch_looped
 
 #: Key-switch configs: the paper's SET-B and SET-C (Table VI), whose
 #: digits are single primes, and the small set (dnum=3, alpha=3), which

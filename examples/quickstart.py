@@ -8,7 +8,7 @@ Run: python examples/quickstart.py
 import numpy as np
 
 from repro.ckks import CkksContext, ParameterSets
-from repro.core import WarpDriveFramework
+from repro.core import OperationScheduler
 
 
 def functional_demo():
@@ -44,16 +44,25 @@ def performance_demo():
     print("=" * 64)
     print("2. Simulated A100 performance (paper parameter set SET-C)")
     print("=" * 64)
-    fw = WarpDriveFramework(ParameterSets.set_c())
-    print(fw.describe())
+    params = ParameterSets.set_c()
+    sched = OperationScheduler(params)
+    ntt = sched.ntt  # the WarpDriveNtt engine the scheduler prices with
+    print(f"  parameters    : {params.name} (N=2^{params.n.bit_length() - 1}, "
+          f"L={params.max_level}, K={params.num_special}, "
+          f"dnum={params.dnum})")
+    print(f"  NTT variant   : {ntt.variant} "
+          f"({'dual' if ntt.uses_dual_kernel else 'single'}-kernel, "
+          f"plan {ntt.plan.describe()})")
+    print(f"  threads/block : {sched.geometry.threads_per_block} "
+          f"on the {sched.device.name}")
     print()
     print(f"  {'operation':<12} {'latency (us)':>14}")
     for op in ("hadd", "pmult", "rescale", "hrotate", "hmult"):
-        print(f"  {op:<12} {fw.op_latency_us(op):>14.1f}")
+        print(f"  {op:<12} {sched.latency_us(op):>14.1f}")
     print(f"\n  NTT throughput (batch 1024): "
-          f"{fw.ntt_throughput_kops(1024):,.0f} KOPS")
+          f"{ntt.throughput_kops(1024):,.0f} KOPS")
     print(f"  KeySwitch kernel launches  : "
-          f"{fw.scheduler.kernel_count('keyswitch')} "
+          f"{sched.kernel_count('keyswitch')} "
           f"(the paper's fixed 11-kernel PE design)")
 
 

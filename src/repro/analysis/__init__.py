@@ -1,23 +1,15 @@
 """Reporting and comparison helpers for the benchmark harness."""
 
-from .metrics import kops_from_us, us_from_kops, within_factor
 from .report import (
     dagcheck_gate_summary,
     format_table,
     lint_gate_summary,
-    paper_vs_measured,
     shape_check,
-    speedup_row,
 )
 
 __all__ = [
     "dagcheck_gate_summary",
     "format_table",
-    "kops_from_us",
     "lint_gate_summary",
-    "paper_vs_measured",
     "shape_check",
-    "speedup_row",
-    "us_from_kops",
-    "within_factor",
 ]

@@ -221,21 +221,6 @@ def _merge_param_spec(a: dict, b: dict) -> Optional[dict]:
 # -- AST helpers -------------------------------------------------------------
 
 
-def deco_name(deco: ast.expr) -> str:
-    """Bare name of a decorator expression (``a.b.frozen`` -> ``frozen``)."""
-    target = deco.func if isinstance(deco, ast.Call) else deco
-    while isinstance(target, ast.Attribute):
-        target = target.attr if isinstance(target.attr, ast.expr) else target
-        break
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(deco, ast.Call) and isinstance(deco.func, ast.Attribute):
-        return deco.func.attr
-    return ""
-
-
 def _deco_bare(deco: ast.expr) -> str:
     target = deco.func if isinstance(deco, ast.Call) else deco
     if isinstance(target, ast.Attribute):

@@ -1,13 +1,13 @@
 """Plain-text table rendering for the benchmark harness.
 
 The benchmark files print tables shaped like the paper's; these helpers
-keep the formatting consistent (fixed-width columns, ratio rows,
-paper-vs-measured annotations).
+keep the formatting consistent (fixed-width columns, pass/fail lines,
+the static-analysis gate summaries).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -43,29 +43,6 @@ def _fmt(value) -> str:
             return f"{value:.1f}"
         return f"{value:.2f}"
     return str(value)
-
-
-def speedup_row(label: str, ours: Dict[str, float],
-                baseline: Dict[str, float],
-                keys: Sequence[str]) -> List:
-    """A 'Speedup' table row: ours / baseline per column."""
-    row: List = [label]
-    for k in keys:
-        a, b = ours.get(k), baseline.get(k)
-        row.append(None if not a or not b else f"{a / b:.2f}x")
-    return row
-
-
-def paper_vs_measured(name: str, paper: Optional[float], measured: float,
-                      *, unit: str = "") -> str:
-    """One EXPERIMENTS.md-style comparison line."""
-    if paper is None:
-        return f"{name:<40} paper: -          measured: {measured:.4g} {unit}"
-    ratio = measured / paper if paper else float("inf")
-    return (
-        f"{name:<40} paper: {paper:<10.4g} measured: {measured:<10.4g} "
-        f"{unit:<6} (x{ratio:.2f} of paper)"
-    )
 
 
 def shape_check(description: str, condition: bool) -> str:

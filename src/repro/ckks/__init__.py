@@ -13,12 +13,12 @@ from .ciphertext import Ciphertext, Plaintext
 from .compare import approx_max, approx_relu, approx_sign
 from .context import CkksContext
 from .encoding import Encoder
-from .hoisting import hoisted_rotations, hoisted_rotations_looped
+from .hoisting import hoisted_rotations
 from .linear_transform import LinearTransform
 from .polyeval import PolynomialEvaluator
 from .slots import SlotOps
 from .keys import KeyGenerator, KeySet, KeySwitchKey, PublicKey, SecretKey
-from .keyswitch import keyswitch, keyswitch_looped
+from .keyswitch import keyswitch
 from .noise import NoiseEstimator, NoiseState, measured_noise_bits
 from .ops import Evaluator
 from .params import CkksParams, ParameterSets
@@ -62,9 +62,7 @@ __all__ = [
     "deserialize_ciphertext",
     "deserialize_plaintext",
     "hoisted_rotations",
-    "hoisted_rotations_looped",
     "keyswitch",
-    "keyswitch_looped",
     "measured_noise_bits",
     "sample_error",
     "sample_ternary",

@@ -57,7 +57,3 @@ class Ciphertext:
     def copy(self) -> "Ciphertext":
         return Ciphertext(self.c0.copy(), self.c1.copy(), self.level,
                           self.scale)
-
-    def size_bytes(self, *, word_bytes: int = 4) -> int:
-        """In-memory footprint at the paper's 32-bit word size."""
-        return 2 * (self.level + 1) * self.n * word_bytes

@@ -52,6 +52,10 @@ class CkksContext:
     def encode(self, values: Sequence, *, level: int = None,
                scale: float = None) -> Plaintext:
         level = self.params.max_level if level is None else level
+        if not 0 <= level <= self.params.max_level:
+            raise ValueError(
+                f"level {level} outside 0..{self.params.max_level}"
+            )
         scale = self.params.scale if scale is None else scale
         coeffs = self.encoder.encode(values, scale)
         moduli = self.evaluator.moduli_at(level)

@@ -53,11 +53,14 @@ class Encoder:
         """Encode up to ``slots`` numbers into scaled integer coefficients.
 
         Returns int64 coefficients (centered); values shorter than the slot
-        count are zero-padded. Raises if the scaled coefficients would
-        overflow int64 — pick a smaller scale or fewer levels' worth of
-        headroom instead.
+        count are zero-padded. Raises ``ValueError`` on NaN or infinite
+        values, and if the scaled coefficients would overflow int64 — pick
+        a smaller scale or fewer levels' worth of headroom instead.
         """
         scale = self.params.scale if scale is None else scale
+        values = np.asarray(values, dtype=np.complex128)
+        if not np.isfinite(values).all():
+            raise ValueError("slot values must be finite (got NaN or inf)")
         scaled = self.embed(values) * scale
         limit = float(np.max(np.abs(scaled))) if self.n else 0.0
         if limit >= 2**62:
@@ -132,10 +135,6 @@ class Encoder:
         twisted = arr * _zeta_twist(self.n)
         spectrum = self.n * np.fft.ifft(twisted)
         return spectrum[_embedding_indices(self.n)] / scale
-
-    def decode_real(self, coeffs, scale: float = None) -> np.ndarray:
-        """Decode and drop imaginary parts (for real-valued messages)."""
-        return np.real(self.decode(coeffs, scale))
 
     # -- round-trip error helper -------------------------------------------------
 

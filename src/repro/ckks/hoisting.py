@@ -23,14 +23,14 @@ components of every step) shares one eval-domain ModDown, which
 transforms only the special rows and the correction. The c0
 leg never leaves the evaluation domain at all.
 
-:func:`hoisted_rotations_looped` preserves the per-step pipeline as the
-bit-exactness oracle; tests also verify each hoisted rotation decrypts to
-the same message as a plain HROTATE.
+The tests keep the per-step pipeline as a bit-exactness oracle
+(``tests/oracles``) and also verify each hoisted rotation decrypts to the
+same message as a plain HROTATE.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -41,25 +41,18 @@ from ..ntt.stacked import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
-from ..numtheory.rns import (
-    RNSBasis,
-    extend_basis,
-    extend_basis_stacked,
-    mod_down,
-)
+from ..numtheory.rns import RNSBasis, extend_basis_stacked
 from .ciphertext import Ciphertext
 from .keys import KeySet
 from .ks_common import (
     eval_automorphism_table,
-    full_chain_length,
     mod_down_eval,
     present_digits,
-    select_level_rows,
     stacked_inner_product,
     stacked_key_rows,
 )
 from .ops import Evaluator
-from .poly import COEFF, EVAL, RnsPoly
+from .poly import EVAL, RnsPoly
 
 
 @bounded()
@@ -69,7 +62,7 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
     batching the per-step tail across all steps.
 
     Requires a rotation key for each step. Returns ``{step: rotated}``.
-    Bit-identical to :func:`hoisted_rotations_looped`. Step ``0`` is a
+    Bit-identical to the per-step reference pipeline. Step ``0`` is a
     passthrough — the input ciphertext itself — so BSGS callers can hand
     the whole baby-step list over without special-casing the identity.
     """
@@ -185,83 +178,6 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
         _temit("modadd", rows=num_steps * num_level,
                reads=(parts, rot0_eval), writes=tuple(out.values()),
                scale=ct.scale)
-    if passthrough:
-        out[0] = ct
-    return out
-
-
-def hoisted_rotations_looped(ev: Evaluator, ct: Ciphertext,
-                             steps: Sequence[int],
-                             keys: KeySet) -> Dict[int, Ciphertext]:
-    """The per-step reference pipeline (pre-batching implementation).
-
-    Kept as the bit-exactness oracle for :func:`hoisted_rotations` and as
-    the baseline of ``benchmarks/bench_keyswitch.py``. Loop-invariant work
-    is hoisted out of the inner loops: the full chain length is computed
-    once, and each step's evk row selections once before its digit loop
-    (they depend only on the key and the level, not on the digit pass).
-    """
-    steps = list(steps)
-    passthrough = 0 in steps
-    steps = [s for s in steps if s]
-    missing = [s for s in steps if s not in keys.rotation]
-    if missing:
-        raise KeyError(f"missing rotation keys for steps {missing}")
-    if not steps:
-        return {0: ct} if passthrough else {}
-
-    level_moduli = ct.moduli
-    num_level = len(level_moduli)
-    special = ev.p_moduli
-    target_moduli = level_moduli + tuple(special)
-    target_basis = RNSBasis(target_moduli)
-    n = ct.n
-    two_n = 2 * n
-
-    # --- the hoisted part: decompose + extend c1 once -----------------------
-    c1_coeff = ct.c1.to_coeff()
-    any_key = keys.rotation[steps[0]]
-    full_len = full_chain_length(any_key)
-    groups, digit_indices = present_digits(any_key.digits, num_level)
-    extended_digits: List[RnsPoly] = []
-    for present in groups:
-        sub = c1_coeff.take_primes(present)
-        ext = extend_basis(sub.data, RNSBasis(sub.moduli), target_basis)
-        extended_digits.append(RnsPoly(ext, target_moduli, COEFF))
-
-    c0_coeff = ct.c0.to_coeff()
-    main = RNSBasis(level_moduli)
-    special_basis = RNSBasis(tuple(special))
-
-    out: Dict[int, Ciphertext] = {}
-    for step in steps:
-        exponent = pow(5, step, two_n)
-        ksk = keys.rotation[step]
-        # Key-row selections depend only on (key, level): one pass per
-        # step, outside the digit loop.
-        rows = [
-            (select_level_rows(ksk.pairs[j][0], num_level, full_len),
-             select_level_rows(ksk.pairs[j][1], num_level, full_len))
-            for j in digit_indices
-        ]
-        acc0 = RnsPoly.zero(target_moduli, n, EVAL)
-        acc1 = RnsPoly.zero(target_moduli, n, EVAL)
-        for ext_poly, (b_rows, a_rows) in zip(extended_digits, rows):
-            # Automorphism commutes with the extension: permute the
-            # already-extended digit, then NTT.
-            rotated_digit = ext_poly.automorphism(exponent).to_eval()
-            acc0 = acc0 + rotated_digit * b_rows
-            acc1 = acc1 + rotated_digit * a_rows
-        parts = []
-        for acc in (acc0, acc1):
-            lowered = mod_down(acc.to_coeff().data, main, special_basis)
-            parts.append(
-                RnsPoly(lowered, level_moduli, COEFF).to_eval()
-            )
-        rot0 = c0_coeff.automorphism(exponent).to_eval()
-        out[step] = Ciphertext(
-            rot0 + parts[0], parts[1], ct.level, ct.scale
-        )
     if passthrough:
         out[0] = ct
     return out

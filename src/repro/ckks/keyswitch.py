@@ -30,8 +30,8 @@ parallelism WarpDrive's PE kernels exploit (§IV-C):
   (:func:`~.ks_common.mod_down_eval`): only the K special rows are
   inverse-transformed, and only the correction is transformed back.
 
-:func:`keyswitch_looped` preserves the per-digit pipeline as the
-bit-exactness oracle; the batched path returns identical polynomials
+The tests keep the per-digit pipeline as a bit-exactness oracle
+(``tests/oracles``); the batched path returns identical polynomials
 (property-tested across levels, dnum values and both ModDown branches).
 """
 
@@ -48,23 +48,15 @@ from ..ntt.stacked import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
-from ..numtheory.rns import (
-    RNSBasis,
-    extend_basis,
-    extend_basis_stacked,
-    mod_down,
-    mod_down_exact_t,
-)
+from ..numtheory.rns import RNSBasis, extend_basis_stacked
 from .keys import KeySwitchKey
 from .ks_common import (
-    full_chain_length,
     mod_down_eval,
     present_digits,
-    select_level_rows,
     stacked_inner_product,
     stacked_key_rows,
 )
-from .poly import COEFF, EVAL, RnsPoly
+from .poly import EVAL, RnsPoly
 
 
 @bounded()
@@ -90,7 +82,7 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
     inner product is not charged — on the GPU it lives in tensor-core
     accumulators, never in pool memory.
 
-    Bit-identical to :func:`keyswitch_looped` (the per-digit reference).
+    Bit-identical to the per-digit reference pipeline (``tests/oracles``).
     """
     if d.domain != EVAL:
         raise ValueError("keyswitch input must be in eval domain")
@@ -175,56 +167,3 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
         _temit("ntt", rows=2 * num_level, panes=2, split=2, deps=(eid,),
                writes=(out, res0, res1))
         return res0, res1
-
-
-def keyswitch_looped(d: RnsPoly, ksk: KeySwitchKey,
-                     special_moduli: Tuple[int, ...],
-                     *, plain_modulus: int = None
-                     ) -> Tuple[RnsPoly, RnsPoly]:
-    """The per-digit reference pipeline (pre-batching implementation).
-
-    Runs ModUp, NTT and the inner-product accumulation one digit at a
-    time. Kept verbatim as the bit-exactness oracle for :func:`keyswitch`
-    and as the baseline of ``benchmarks/bench_keyswitch.py``.
-    """
-    if d.domain != EVAL:
-        raise ValueError("keyswitch input must be in eval domain")
-    level_moduli = d.moduli
-    num_level = len(level_moduli)
-    target_moduli = level_moduli + tuple(special_moduli)
-    target_basis = RNSBasis(target_moduli)
-    n = d.n
-
-    d_coeff = d.to_coeff()  # stage 1: INTT
-
-    acc0 = RnsPoly.zero(target_moduli, n, EVAL)
-    acc1 = RnsPoly.zero(target_moduli, n, EVAL)
-    full_len = full_chain_length(ksk)
-    for j, digit in enumerate(ksk.digits):
-        present = [i for i in digit if i < num_level]
-        if not present:
-            continue
-        sub = d_coeff.take_primes(present)
-        extended = extend_basis(          # stage 2: ModUp
-            sub.data, RNSBasis(sub.moduli), target_basis
-        )
-        ext_poly = RnsPoly(extended, target_moduli, COEFF).to_eval()  # 3: NTT
-        b_j, a_j = ksk.pairs[j]
-        b_rows = select_level_rows(b_j, num_level, full_len)
-        a_rows = select_level_rows(a_j, num_level, full_len)
-        acc0 = acc0 + ext_poly * b_rows   # stage 4: InnerProduct
-        acc1 = acc1 + ext_poly * a_rows
-
-    main = RNSBasis(level_moduli)
-    special = RNSBasis(tuple(special_moduli))
-    out = []
-    for acc in (acc0, acc1):
-        coeff = acc.to_coeff()            # stage 5: INTT
-        if plain_modulus is None:
-            lowered = mod_down(coeff.data, main, special)  # 6: ModDown
-        else:
-            lowered = mod_down_exact_t(
-                coeff.data, main, special, plain_modulus
-            )
-        out.append(RnsPoly(lowered, level_moduli, COEFF).to_eval())  # 7: NTT
-    return out[0], out[1]

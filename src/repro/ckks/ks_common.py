@@ -29,7 +29,6 @@ from ..ntt.tables import TABLE_CACHE_SIZE
 from ..numtheory.barrett import BatchBarrettReducer
 from ..numtheory.rns import RNSBasis, divide_by_special, mod_down_delta
 from .keys import KeySwitchKey
-from .poly import RnsPoly
 
 
 def full_chain_length(ksk: KeySwitchKey) -> int:
@@ -44,14 +43,6 @@ def level_row_indices(num_level: int, full_len: int,
     num_special = num_total - full_len
     return list(range(num_level)) + list(
         range(full_len, full_len + num_special)
-    )
-
-
-def select_level_rows(key_poly: RnsPoly, num_level: int,
-                      full_len: int) -> RnsPoly:
-    """Restrict a full-chain key polynomial to level + special rows."""
-    return key_poly.take_primes(
-        level_row_indices(num_level, full_len, key_poly.num_primes)
     )
 
 

@@ -26,12 +26,9 @@ accumulation of a giant group as a single wide-accumulator pass
 whose shifted diagonals are all structurally zero are pruned at plan
 time (lossless — they contribute nothing to the sum).
 
-:meth:`apply_looped` preserves the per-diagonal pipeline as the
-bit-exactness oracle; it shares the compiled plaintext stack (so repeated
-applies never re-encode — the historical behaviour re-encoded every
-diagonal on *every* call) and accumulates with
-:meth:`~repro.ckks.poly.RnsPoly.fma_`, both of which are bit-identical
-substitutions.  ``apply`` == ``apply_looped`` bit-exactly.
+The tests keep the per-diagonal pipeline as a bit-exactness oracle
+(``tests/oracles``); it reads the same compiled plaintext stack, and
+``apply`` matches it bit-exactly.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.annotations import frozen, returns_view
+from ..analysis.annotations import frozen
 from ..trace.recorder import emit as _temit, span as _tspan
 from ..ntt.stacked import get_shoup_stack, stacked_negacyclic_ntt
-from .ciphertext import Ciphertext, Plaintext
+from .ciphertext import Ciphertext
 from .context import CkksContext
 from .hoisting import hoisted_rotations
 from .keys import KeySet
@@ -203,17 +200,6 @@ class LinearTransform:
         self._plans[level] = plan
         return plan
 
-    @returns_view
-    def _plain_slice(self, plan: _LevelPlan, group: int,
-                     member: int) -> Plaintext:
-        """The memoized plaintext of one diagonal (a read-only view into
-        the compiled stack) — the fallback path re-encodes nothing."""
-        _, _, sub = plan.groups[group]
-        return Plaintext(
-            poly=RnsPoly(sub[:, member, :], plan.moduli, EVAL),
-            scale=plan.pt_scale, level=plan.level,
-        )
-
     # -- application ------------------------------------------------------------------
 
     def apply(self, ct: Ciphertext, keys: KeySet) -> Ciphertext:
@@ -221,7 +207,7 @@ class LinearTransform:
 
         Batched: all baby-step PMULTs and accumulations of a giant group
         run as one :func:`wide_dot` pass over the cached eval-form stack.
-        Bit-identical to :meth:`apply_looped`.
+        Bit-identical to the per-diagonal reference pipeline.
         """
         plan = self.compile(ct.level)
         ev = self.ctx.evaluator
@@ -259,35 +245,3 @@ class LinearTransform:
                         inner = ev.hrotate(inner, g_rot, keys)
                 acc = inner if acc is None else ev.hadd_matched(acc, inner)
             return acc if self.bsgs else ev.rescale(acc)
-
-    def apply_looped(self, ct: Ciphertext, keys: KeySet) -> Ciphertext:
-        """The per-diagonal reference pipeline (bit-exactness oracle).
-
-        One PMULT/FMA per diagonal, like the historical implementation,
-        but reading the memoized plaintext stack instead of re-encoding
-        every diagonal on every call.
-        """
-        plan = self.compile(ct.level)
-        ev = self.ctx.evaluator
-        rotated = hoisted_rotations(ev, ct, plan.babies, keys)
-
-        acc = None
-        for g_idx, (g_rot, _, _) in enumerate(plan.groups):
-            bs = sorted(self._groups[g_rot])
-            inner = None
-            for m_idx, b in enumerate(bs):
-                pt = self._plain_slice(plan, g_idx, m_idx)
-                if inner is None:
-                    inner = ev.pmult(rotated[b], pt)
-                else:
-                    # In-place fused multiply-accumulate: one reduction
-                    # pass per diagonal instead of mul + add.
-                    m = pt.poly.to_eval()
-                    inner.c0.fma_(rotated[b].c0, m)
-                    inner.c1.fma_(rotated[b].c1, m)
-            if self.bsgs:
-                inner = ev.rescale(inner)
-                if g_rot:
-                    inner = ev.hrotate(inner, g_rot, keys)
-            acc = inner if acc is None else ev.hadd_matched(acc, inner)
-        return acc if self.bsgs else ev.rescale(acc)

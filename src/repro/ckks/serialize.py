@@ -44,7 +44,14 @@ def _pack(kind: str, header_extra: dict, arrays) -> bytes:
 def _unpack(data: bytes, expect_kind: str) -> Tuple[dict, list]:
     if data[:4] != _MAGIC:
         raise ValueError("not a WarpDrive-repro serialized object")
+    if len(data) < 8:
+        raise ValueError("truncated header: no header length")
     (hlen,) = struct.unpack("<I", data[4:8])
+    if 8 + hlen > len(data):
+        raise ValueError(
+            f"truncated header: {hlen} bytes declared, "
+            f"{len(data) - 8} present"
+        )
     header = json.loads(data[8: 8 + hlen].decode())
     if header.get("version") != _VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
@@ -64,6 +71,10 @@ def _unpack(data: bytes, expect_kind: str) -> Tuple[dict, list]:
             np.frombuffer(raw, dtype="<u8").reshape(shape).astype(np.uint64)
         )
         offset += 8 * count
+    if offset != len(data):
+        raise ValueError(
+            f"{len(data) - offset} trailing bytes after the payload"
+        )
     return header, arrays
 
 

@@ -4,13 +4,11 @@
 - :mod:`.warp_allocation` — tensor/CUDA warp co-scheduling (§IV-B-3);
 - :mod:`.scheduler` — homomorphic-operation lowering to parallelism-enhanced
   (PE) ciphertext-level kernel plans (§IV-C);
-- :mod:`.framework` — the §IV-D runtime facade;
 - :mod:`.memory_pool` / :mod:`.kernels` / :mod:`.costs` — supporting
   pieces (S_max pool, kernel builders, instruction-cost model).
 """
 
 from .costs import NttWorkCounts, plan_work_counts
-from .framework import FrameworkConfig, WarpDriveFramework
 from .kernels import DEFAULT_GEOMETRY, WORD_BYTES, GeometryConfig
 from .memory_pool import MemoryPool, max_working_set_bytes
 from .ntt_engine import VARIANTS, WarpDriveNtt
@@ -24,7 +22,6 @@ from .warp_allocation import (
 
 __all__ = [
     "DEFAULT_GEOMETRY",
-    "FrameworkConfig",
     "GeometryConfig",
     "HOMOMORPHIC_OPS",
     "MemoryPool",
@@ -33,7 +30,6 @@ __all__ = [
     "VARIANTS",
     "WORD_BYTES",
     "WarpAllocation",
-    "WarpDriveFramework",
     "WarpDriveNtt",
     "balance_fraction",
     "default_allocation",

@@ -32,9 +32,6 @@ from .kernel import (
 from .profiler import (
     AggregateMetrics,
     aggregate,
-    scheduler_cycles_breakdown,
-    stall_table,
-    utilization_table,
 )
 from .stalls import MEMORY_RELATED, StallBreakdown, StallReason
 from .streams import (
@@ -106,11 +103,8 @@ __all__ = [
     "run_serial",
     "run_streams",
     "save_chrome_trace",
-    "scheduler_cycles_breakdown",
     "spec_cache_key",
     "simulate_kernel",
-    "stall_table",
     "summarize",
     "to_chrome_trace",
-    "utilization_table",
 ]

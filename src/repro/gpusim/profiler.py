@@ -1,17 +1,18 @@
-"""Nsight-Compute-style reporting over simulated kernel profiles.
+"""Nsight-Compute-style roll-up of simulated kernel profiles.
 
-Formats the metrics the paper reports: stall cycles per issued instruction
-and their category breakdown (Table II, Fig. 5), compute/memory throughput
-utilization (Tables III, IX, X), and kernel counts (Table IX).
+Aggregates the metrics the paper reports: stall cycles per issued
+instruction and their category breakdown (Table II, Fig. 5),
+compute/memory throughput utilization (Tables III, IX, X), and kernel
+counts (Table IX). The benchmarks render them into the paper's tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from .engine import KernelProfile
-from .stalls import MEMORY_RELATED, StallBreakdown, StallReason
+from .stalls import StallBreakdown
 
 
 @dataclass
@@ -62,64 +63,3 @@ def aggregate(profiles: Sequence[KernelProfile]) -> AggregateMetrics:
         compute_utilization=compute,
         memory_utilization=memory,
     )
-
-
-def stall_table(profiles_by_stage: Dict[str, Sequence[KernelProfile]],
-                ) -> str:
-    """Render a Table II-style stall report, one column per stage."""
-    stages = list(profiles_by_stage)
-    aggs = {s: aggregate(profiles_by_stage[s]) for s in stages}
-    rows: List[str] = []
-    header = f"{'metric':<38}" + "".join(f"{s:>16}" for s in stages)
-    rows.append(header)
-    rows.append(
-        f"{'Stall cycles / issued instruction':<38}"
-        + "".join(f"{aggs[s].stall_cycles_per_issued:>16.1f}" for s in stages)
-    )
-    rows.append(
-        f"{'Memory-related pipeline stalls (%)':<38}"
-        + "".join(
-            f"{100 * aggs[s].memory_stall_fraction:>16.1f}" for s in stages
-        )
-    )
-    for reason in (StallReason.LG_THROTTLE, StallReason.LONG_SCOREBOARD,
-                   StallReason.SHORT_SCOREBOARD, StallReason.MIO_THROTTLE):
-        rows.append(
-            f"{'  ' + reason.value + ' (%)':<38}"
-            + "".join(
-                f"{100 * aggs[s].stalls.fraction(reason):>16.1f}"
-                for s in stages
-            )
-        )
-    return "\n".join(rows)
-
-
-def scheduler_cycles_breakdown(profiles: Sequence[KernelProfile],
-                               ) -> Dict[str, float]:
-    """Fig. 5-style breakdown: 'selected' (issued) plus stall categories,
-    in absolute warp-cycles."""
-    agg = aggregate(profiles)
-    out: Dict[str, float] = {"selected": agg.issued_instructions}
-    for reason, cycles in agg.stalls.cycles.items():
-        out[reason.value] = cycles
-    return out
-
-
-def utilization_table(metrics_by_config: Dict[str, AggregateMetrics],
-                      *, label: str = "config") -> str:
-    """Render a Table IX/X-style utilization comparison."""
-    rows = [
-        f"{label:<24} {'kernels':>8} {'compute %':>10} {'memory %':>10} "
-        f"{'us':>10}"
-    ]
-    for name, m in metrics_by_config.items():
-        rows.append(
-            f"{name:<24} {m.kernel_count:>8} {m.compute_utilization:>10.1f} "
-            f"{m.memory_utilization:>10.1f} {m.total_us:>10.1f}"
-        )
-    return "\n".join(rows)
-
-
-def memory_related_names() -> List[str]:
-    """Names of the stall categories counted as memory-related."""
-    return sorted(r.value for r in MEMORY_RELATED)

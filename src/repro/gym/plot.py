@@ -19,12 +19,6 @@ _W, _H = 640, 360
 _ML, _MR, _MT, _MB = 70, 20, 30, 45
 
 
-def _scale(values: Sequence[float], lo: float, hi: float,
-           out_lo: float, out_hi: float) -> List[float]:
-    span = (hi - lo) or 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
-
-
 def fitness_svg(results: Sequence[SearchResult], *,
                 title: str = "gym best-so-far reward") -> str:
     """Render search results as one standalone SVG document."""

@@ -1,6 +1,5 @@
 """NTT algorithm suite: every transform strategy the paper discusses.
 
-- :mod:`.reference` — O(N^2) ground truth;
 - :mod:`.radix2` — iterative Cooley-Tukey transform of one prime's rows
   (the per-row reference for the stacked kernel);
 - :mod:`.stacked` — the batched RNS engine: one transform over a whole
@@ -11,8 +10,10 @@
   decomposition (Fig. 2, Table IV) with pluggable leaf engines;
 - :mod:`.gemm` / :mod:`.bitsplit` — CUDA-core and tensor-core (uint8 limb)
   GEMM inner NTTs;
-- :mod:`.butterfly` — high-radix butterfly inner NTTs (WD-BO);
-- :mod:`.negacyclic` — polynomial products and Galois automorphisms.
+- :mod:`.butterfly` — high-radix butterfly inner NTTs (WD-BO).
+
+The O(N^2) ground-truth transforms that every engine is tested against
+are test oracles (``tests/oracles``), not library code.
 """
 
 from .bitsplit import bitsplit_matmul_mod, count_limb_gemms
@@ -26,15 +27,6 @@ from .decompose import (
 )
 from .gemm import gemm_inner_ntt, matmul_mod_uint32
 from .hierarchical import LEAF_ENGINES, ExecutionStats, HierarchicalNtt
-from .negacyclic import (
-    apply_automorphism,
-    conjugate_automorphism,
-    pointwise_mul,
-    poly_add,
-    poly_mul,
-    poly_neg,
-    rotate_galois,
-)
 from .radix2 import cyclic_ntt, negacyclic_intt, negacyclic_ntt
 from .stacked import (
     ShoupStack,
@@ -42,14 +34,6 @@ from .stacked import (
     shoup_stack_cache_stats,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
-)
-from .reference import (
-    cyclic_convolution,
-    negacyclic_convolution,
-    reference_cyclic_intt,
-    reference_cyclic_ntt,
-    reference_negacyclic_intt,
-    reference_negacyclic_ntt,
 )
 from .tables import (
     TABLE_CACHE_SIZE,
@@ -69,31 +53,18 @@ __all__ = [
     "SUPPORTED_RADICES",
     "ShoupStack",
     "TABLE_CACHE_SIZE",
-    "apply_automorphism",
     "bitsplit_matmul_mod",
     "build_plan",
     "butterfly_inner_ntt",
     "choose_radix",
-    "conjugate_automorphism",
     "count_limb_gemms",
-    "cyclic_convolution",
     "cyclic_ntt",
     "gemm_inner_ntt",
     "get_shoup_stack",
     "get_tables",
     "matmul_mod_uint32",
-    "negacyclic_convolution",
     "negacyclic_intt",
     "negacyclic_ntt",
-    "pointwise_mul",
-    "poly_add",
-    "poly_mul",
-    "poly_neg",
-    "reference_cyclic_intt",
-    "reference_cyclic_ntt",
-    "reference_negacyclic_intt",
-    "reference_negacyclic_ntt",
-    "rotate_galois",
     "shoup_stack_cache_stats",
     "stacked_negacyclic_intt",
     "stacked_negacyclic_ntt",

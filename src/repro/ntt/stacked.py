@@ -15,7 +15,7 @@ first read.
 
 Outputs are canonical (``< q``) and bit-identical to running
 :func:`~repro.ntt.radix2.negacyclic_ntt` / ``negacyclic_intt`` row by row
-and to the O(N^2) :mod:`~repro.ntt.reference` transforms
+and to the O(N^2) reference transforms of ``tests/oracles``
 (regression-tested).
 
 Lazy inputs: the forward transform accepts any representatives below

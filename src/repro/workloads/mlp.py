@@ -67,24 +67,6 @@ class EncryptedMlp:
             steps.update(lt.required_rotations())
         return sorted(steps)
 
-    def precompile(self, input_level: int) -> None:
-        """Compile every layer's diagonal stack for the levels a forward
-        pass starting at ``input_level`` will visit, so the first
-        :meth:`infer` pays no encode/NTT cost.  Walks the same level
-        schedule as :meth:`infer` (one level per transform, three per
-        activation)."""
-        level = input_level
-        for layer, lt in zip(self.layers, self._transforms):
-            lt.compile(level)
-            level -= 1  # the transform's rescale
-            if layer.activate:
-                level -= 3  # degree-3 Chebyshev depth
-        if level < 0:
-            raise ValueError(
-                f"input level {input_level} below the "
-                f"{self.levels_needed()} levels this network needs"
-            )
-
     def levels_needed(self) -> int:
         """Multiplicative depth: 1 per transform; each degree-3 Chebyshev
         activation costs ceil(log2(3)) + 1 = 3 levels (T2, then T3 at the

@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..ckks import CkksContext, ParameterSets
-from ..ckks.ciphertext import Ciphertext, Plaintext
+from ..ckks.ciphertext import Ciphertext
 from ..ckks.hoisting import hoisted_rotations
 from ..ckks.ks_common import wide_dot
 from ..ckks.params import CkksParams
@@ -116,11 +116,7 @@ class EncryptedConv2d:
     boundary masks are compiled once per (image shape, level) into a
     cached eval-form plaintext stack, the kernel-position rotations share
     one hoisted ModUp, and the mask multiplies + accumulation run as one
-    wide-accumulator pass. :meth:`forward_looped` keeps the per-position
-    rotate/PMULT pipeline (reading the same compiled stack, so repeated
-    calls never re-encode) as the reference; the two decrypt identically
-    but are not bit-equal, since hoisted rotations and plain HROTATEs
-    take different reduction paths.
+    wide-accumulator pass.
     """
 
     def __init__(self, ctx: CkksContext, keys, kernel: np.ndarray):
@@ -204,28 +200,6 @@ class EncryptedConv2d:
             RnsPoly(wide_dot(rot1, stack, reducer), moduli, EVAL),
             ct.level, ct.scale * pt_scale,
         )
-        out = ev.rescale(acc)
-        if square_activation:
-            out = ev.hmult(out, out, self.keys)
-        return out
-
-    def forward_looped(self, ct, height: int, width: int, *,
-                       square_activation: bool = False):
-        """The per-position reference pipeline (plain rotations, one
-        PMULT per kernel position, memoized mask plaintexts)."""
-        steps, moduli, pt_scale, stack = self._compile_masks(
-            height, width, ct.level
-        )
-        ev = self.ctx.evaluator
-        acc = None
-        for i, step in enumerate(steps):
-            shifted = ct if step == 0 else ev.hrotate(ct, step, self.keys)
-            pt = Plaintext(
-                poly=RnsPoly(stack[:, i, :], moduli, EVAL),
-                scale=pt_scale, level=ct.level,
-            )
-            term = ev.pmult(shifted, pt)
-            acc = term if acc is None else ev.hadd_matched(acc, term)
         out = ev.rescale(acc)
         if square_activation:
             out = ev.hmult(out, out, self.keys)

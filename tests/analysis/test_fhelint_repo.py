@@ -1,4 +1,5 @@
-"""The repository gate: fhelint over the real ``src/`` tree is clean.
+"""The repository gate: fhelint over the real ``src/`` tree and the test
+oracles in ``tests/oracles`` is clean.
 
 This is the same invocation CI runs — every contract the kernels declare
 (lazy windows, reducer input ranges, int32 accumulators, representation
@@ -12,10 +13,11 @@ from repro.analysis.fhelint.runner import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+ORACLES = REPO_ROOT / "tests" / "oracles"
 
 
 def test_repo_src_is_clean():
-    result = run_lint([str(SRC)])
+    result = run_lint([str(SRC), str(ORACLES)])
     assert result.active == [], "\n".join(
         f.render() for f in result.active
     )

@@ -1,16 +1,6 @@
 """Tests for the reporting helpers and the CLI summary."""
 
-import pytest
-
-from repro.analysis import (
-    format_table,
-    kops_from_us,
-    paper_vs_measured,
-    shape_check,
-    speedup_row,
-    us_from_kops,
-    within_factor,
-)
+from repro.analysis import format_table, shape_check
 
 
 class TestFormatTable:
@@ -29,44 +19,9 @@ class TestFormatTable:
         assert "0.12" in text
         assert "42.0" in text
 
-    def test_speedup_row(self):
-        row = speedup_row("sp", {"a": 10.0, "b": 0}, {"a": 5.0, "b": 3.0},
-                          ["a", "b"])
-        assert row == ["sp", "2.00x", None]
-
-    def test_paper_vs_measured(self):
-        line = paper_vs_measured("thing", 100.0, 150.0, unit="us")
-        assert "x1.50" in line
-        assert "paper" in line
-
-    def test_paper_vs_measured_missing(self):
-        line = paper_vs_measured("thing", None, 5.0)
-        assert "paper: -" in line
-
     def test_shape_check(self):
         assert shape_check("claim", True).startswith("[PASS]")
         assert shape_check("claim", False).startswith("[FAIL]")
-
-
-class TestMetrics:
-    def test_kops_roundtrip(self):
-        assert kops_from_us(us_from_kops(3.5)) == pytest.approx(3.5)
-
-    def test_kops_values(self):
-        assert kops_from_us(1000.0) == pytest.approx(1.0)
-        assert us_from_kops(1.0) == pytest.approx(1000.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            kops_from_us(0)
-        with pytest.raises(ValueError):
-            us_from_kops(-1)
-
-    def test_within_factor(self):
-        assert within_factor(10, 20, 2.0)
-        assert within_factor(40, 20, 2.0)
-        assert not within_factor(50, 20, 2.0)
-        assert not within_factor(0, 20, 2.0)
 
 
 class TestReproduceCli:

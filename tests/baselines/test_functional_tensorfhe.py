@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.tensorfhe import functional_five_stage_ntt
-from repro.ntt import NttTables, reference_negacyclic_ntt
+from repro.ntt import NttTables
 from repro.numtheory import find_ntt_prime
+from tests.oracles import reference_negacyclic_ntt
 
 
 @pytest.mark.parametrize("n", [256, 1024])

@@ -55,7 +55,7 @@ class TestEncoding:
 
     def test_encoding_is_ring_iso(self, ctx):
         """Slot-wise product == polynomial product mod (X^N+1, t)."""
-        from repro.ntt import negacyclic_convolution
+        from tests.oracles import negacyclic_convolution
 
         a = np.arange(1, 9)
         b = np.arange(2, 10)

@@ -79,7 +79,7 @@ class TestLinearity:
         (the property CKKS computation rests on). Computed over a modulus
         far larger than any product coefficient, so the arithmetic is
         effectively exact integer arithmetic."""
-        from repro.ntt import negacyclic_convolution
+        from tests.oracles import negacyclic_convolution
 
         q = 1 << 120
         a = np.array([1.5, -2.0, 0.5])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgv import BgvContext, BgvParams
-from repro.ckks import CkksContext, ParameterSets, keyswitch_looped
+from repro.ckks import CkksContext, ParameterSets
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.ks_common import eval_automorphism_table, mod_down_eval
 from repro.ckks.poly import COEFF, EVAL, RnsPoly
@@ -29,6 +29,7 @@ from repro.ntt.stacked import (
 )
 from repro.numtheory import RNSBasis, find_ntt_primes, modinv
 from repro.numtheory.rns import mod_down, mod_down_exact_t
+from tests.oracles import keyswitch_looped
 
 N = 32
 NUM_MAIN = 4

@@ -1,5 +1,7 @@
 """Tests for hoisted rotations, noise tracking and serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,19 @@ class TestSerialization:
         blob = serialize_ciphertext(ctx.encrypt([1.0], keys))
         with pytest.raises(ValueError):
             deserialize_ciphertext(blob[: len(blob) // 2])
+
+    def test_short_header_rejected(self):
+        # Valid magic, but the 4-byte header length is cut short.
+        with pytest.raises(ValueError, match="truncated header"):
+            deserialize_ciphertext(b"WDRP\x01\x00")
+
+    def test_header_length_past_end_rejected(self, ctx, keys):
+        blob = serialize_ciphertext(ctx.encrypt([1.0], keys))
+        forged = blob[:4] + struct.pack("<I", len(blob)) + blob[8:]
+        with pytest.raises(ValueError, match="truncated header"):
+            deserialize_ciphertext(forged)
+
+    def test_trailing_bytes_rejected(self, ctx, keys):
+        blob = serialize_ciphertext(ctx.encrypt([1.0], keys))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            deserialize_ciphertext(blob + b"\x00" * 8)

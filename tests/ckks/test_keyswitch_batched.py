@@ -16,13 +16,12 @@ from repro.ckks import (
     CkksParams,
     ParameterSets,
     hoisted_rotations,
-    hoisted_rotations_looped,
     keyswitch,
-    keyswitch_looped,
 )
 from repro.ckks.poly import COEFF, EVAL, RnsPoly
 from repro.core.memory_pool import MemoryPool, max_working_set_bytes
 from repro.numtheory.rns import RNSBasis
+from tests.oracles import hoisted_rotations_looped, keyswitch_looped
 
 #: num_special=2 and scale_bits=26 keep the special-prime product above
 #: every digit product (the Han-Ki noise guard); max_level is the largest

@@ -1,7 +1,7 @@
 """Property suite for the batched slot pipeline.
 
 Covers the plan/compile linear-transform machinery (batched apply ==
-``apply_looped`` bit-exact, plan memoization, lossless giant-group
+``linear_transform_looped`` bit-exact, plan memoization, lossless giant-group
 pruning), the FFT factorization of the embedding DFT (factor algebra,
 CoeffToSlot∘SlotToCoeff round trip at every ``fuse``), rotation-key
 deduplication, and an end-to-end factored-bootstrap precision
@@ -23,6 +23,7 @@ from repro.ckks.bootstrap import (
 )
 from repro.ckks.linear_transform import LinearTransform
 from repro.numtheory import bit_reverse_permutation
+from tests.oracles import linear_transform_looped
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ class TestBatchedEqualsLooped:
         vals = rng.normal(size=s) * 0.3
         level = [ctx.params.max_level, 3, 1][trial]
         ct = ctx.encrypt(vals, keys, level=level)
-        assert _bit_equal(lt.apply(ct, keys), lt.apply_looped(ct, keys))
+        assert _bit_equal(lt.apply(ct, keys), linear_transform_looped(lt, ct, keys))
 
     def test_matches_plaintext_matmul(self, ctx, keys):
         rng = np.random.default_rng(7)
@@ -76,7 +77,7 @@ class TestBatchedEqualsLooped:
         plan = lt.compile(ct.level)
         assert lt.compile(ct.level) is plan  # no re-encode on reuse
         lt.apply(ct, keys)
-        lt.apply_looped(ct, keys)
+        linear_transform_looped(lt, ct, keys)
         assert lt.compile(ct.level) is plan
         assert not plan.stack.flags.writeable
 
@@ -95,7 +96,7 @@ class TestBatchedEqualsLooped:
 
         monkeypatch.setattr(ctx.encoder, "encode_many", counting)
         lt.apply(ct, keys)
-        lt.apply_looped(ct, keys)
+        linear_transform_looped(lt, ct, keys)
         assert calls["n"] == 0
 
 

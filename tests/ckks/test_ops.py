@@ -46,6 +46,19 @@ class TestEncryptDecrypt:
         assert ct.level == 1
         assert np.max(np.abs(decoded(ctx, keys, ct) - vals)) < 1e-4
 
+    @pytest.mark.parametrize("level", [4, -1, -2])
+    def test_encrypt_level_out_of_range_rejected(self, ctx, keys, vals,
+                                                 level):
+        assert ctx.params.max_level == 3
+        with pytest.raises(ValueError, match=r"level .* outside 0\.\.3"):
+            ctx.encrypt(vals, keys, level=level)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan)])
+    def test_encrypt_non_finite_rejected(self, ctx, keys, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ctx.encrypt([1.0, bad], keys)
+
     def test_ciphertexts_are_randomized(self, ctx, keys, vals):
         a = ctx.encrypt(vals, keys)
         b = ctx.encrypt(vals, keys)

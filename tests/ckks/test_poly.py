@@ -93,7 +93,7 @@ class TestArithmetic:
             _ = a * b
 
     def test_mul_matches_convolution(self):
-        from repro.ntt import negacyclic_convolution
+        from tests.oracles import negacyclic_convolution
 
         a, b = rand_poly(), rand_poly()
         prod = (a.to_eval() * b.to_eval()).to_coeff()

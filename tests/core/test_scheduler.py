@@ -1,4 +1,4 @@
-"""Tests for operation lowering, PE kernels and the framework facade."""
+"""Tests for operation lowering, PE kernels and the §IV-D runtime set-up."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from repro.core import (
     HOMOMORPHIC_OPS,
     MemoryPool,
     OperationScheduler,
-    WarpDriveFramework,
     max_working_set_bytes,
 )
+from repro.gpusim import A100_PCIE_80G
 
 PARAMS = ParameterSets.set_c()
 
@@ -195,44 +195,45 @@ class TestMemoryPool:
 
 
 class TestFramework:
+    """The §IV-D runtime as the library sets it up: one
+    :class:`OperationScheduler` per parameter set wires the WarpDrive NTT
+    engine, the launch geometry and per-op pricing; the functional layer
+    is a separate :class:`CkksContext`."""
+
     @pytest.fixture(scope="class")
     def fw(self):
-        return WarpDriveFramework(ParameterSets.set_c())
-
-    def test_describe_mentions_key_facts(self, fw):
-        text = fw.describe()
-        assert "SET-C" in text
-        assert "wd-fuse" in text
-        assert "256" in text
+        return OperationScheduler(ParameterSets.set_c())
 
     def test_threads_per_block_rule(self, fw):
         # T = C * W * 32 = 4 * 2 * 32 = 256 on the A100.
-        assert fw.geometry.threads_per_block == 256
+        assert fw.geometry.threads_per_block == \
+            A100_PCIE_80G.subpartitions_per_sm * 2 * 32 == 256
 
     def test_dual_kernel_flag(self):
-        assert WarpDriveFramework(ParameterSets.set_e()).config.dual_kernel_ntt
-        assert not WarpDriveFramework(
+        assert OperationScheduler(ParameterSets.set_e()).ntt.uses_dual_kernel
+        assert not OperationScheduler(
             ParameterSets.set_c()
-        ).config.dual_kernel_ntt
+        ).ntt.uses_dual_kernel
 
     def test_op_latency(self, fw):
-        assert fw.op_latency_us("hadd") < fw.op_latency_us("hmult")
+        assert fw.latency_us("hadd") < fw.latency_us("hmult")
 
     def test_ntt_throughput(self, fw):
-        assert fw.ntt_throughput_kops(256) > 0
+        assert fw.ntt.throughput_kops(256) > 0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            WarpDriveFramework(ParameterSets.set_c(), ntt_variant="bogus")
+            OperationScheduler(ParameterSets.set_c(), ntt_variant="bogus")
 
     def test_supported_ops(self):
-        assert "hmult" in WarpDriveFramework.supported_ops()
+        assert "hmult" in HOMOMORPHIC_OPS
 
     def test_functional_context_roundtrip(self):
         import numpy as np
 
-        fw = WarpDriveFramework(ParameterSets.toy())
-        ctx = fw.context(seed=3)
+        from repro.ckks import CkksContext
+
+        ctx = CkksContext.create(ParameterSets.toy(), seed=3)
         keys = ctx.keygen()
         ct = ctx.encrypt([1.0, -2.0], keys)
         dec = ctx.decrypt_decode_real(ct, keys)

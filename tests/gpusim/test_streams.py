@@ -10,11 +10,8 @@ from repro.gpusim import (
     render_timeline,
     run_serial,
     run_streams,
-    scheduler_cycles_breakdown,
     simulate_kernel,
-    stall_table,
     summarize,
-    utilization_table,
 )
 
 DEV = A100_PCIE_80G
@@ -154,26 +151,6 @@ class TestProfiler:
     def test_aggregate_requires_profiles(self):
         with pytest.raises(ValueError):
             aggregate([])
-
-    def test_stall_table_renders(self):
-        profiles = {
-            "Stage 1": [simulate_kernel(kernel("s1"), DEV)],
-            "Stage 2": [simulate_kernel(kernel("s2"), DEV)],
-        }
-        text = stall_table(profiles)
-        assert "Stage 1" in text and "Stage 2" in text
-        assert "Stall cycles / issued instruction" in text
-
-    def test_scheduler_breakdown_includes_selected(self):
-        profiles = [simulate_kernel(kernel("k"), DEV)]
-        breakdown = scheduler_cycles_breakdown(profiles)
-        assert "selected" in breakdown
-        assert breakdown["selected"] > 0
-
-    def test_utilization_table(self):
-        profiles = [simulate_kernel(kernel("k"), DEV)]
-        text = utilization_table({"warpdrive": aggregate(profiles)})
-        assert "warpdrive" in text
 
     def test_total_stalls_merge(self):
         result = run_serial([kernel("a"), kernel("b")], DEV)

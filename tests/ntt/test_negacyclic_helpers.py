@@ -1,20 +1,15 @@
-"""Tests for the negacyclic polynomial helper functions."""
+"""Negacyclic ring arithmetic in ``Z_q[X]/(X^N + 1)`` on a one-prime
+``RnsPoly``, and the cyclic schoolbook oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ntt import (
-    NttTables,
-    cyclic_convolution,
-    negacyclic_ntt,
-    pointwise_mul,
-    poly_add,
-    poly_mul,
-    poly_neg,
-)
+from repro.ckks.poly import RnsPoly
+from repro.ntt import NttTables, negacyclic_ntt
 from repro.numtheory import find_ntt_prime
+from tests.oracles import cyclic_convolution
 
 N = 32
 Q = find_ntt_prime(28, N)
@@ -26,31 +21,30 @@ def rand_poly():
     return RNG.integers(0, Q, size=N, dtype=np.uint64)
 
 
+def ring(coeffs):
+    """``coeffs`` as a coefficient-domain polynomial mod ``Q``."""
+    return RnsPoly(coeffs[None, :], (Q,))
+
+
 class TestPolyHelpers:
     def test_add_neg_cancel(self):
-        a = rand_poly()
-        z = poly_add(a, poly_neg(a, Q), Q)
-        assert not z.any()
+        a = ring(rand_poly())
+        assert not (a + (-a)).data.any()
 
     def test_add_commutes(self):
-        a, b = rand_poly(), rand_poly()
-        assert np.array_equal(poly_add(a, b, Q), poly_add(b, a, Q))
+        a, b = ring(rand_poly()), ring(rand_poly())
+        assert np.array_equal((a + b).data, (b + a).data)
 
     def test_neg_of_zero(self):
-        z = np.zeros(N, dtype=np.uint64)
-        assert not poly_neg(z, Q).any()
+        assert not (-RnsPoly.zero((Q,), N)).data.any()
 
     def test_pointwise_mul_is_eval_domain_product(self):
         a, b = rand_poly(), rand_poly()
         fa = negacyclic_ntt(a, TABLES)
         fb = negacyclic_ntt(b, TABLES)
-        hadamard = pointwise_mul(fa, fb, TABLES)
+        hadamard = (ring(a).to_eval() * ring(b).to_eval()).data[0]
         expected = (fa.astype(object) * fb.astype(object)) % Q
         assert np.array_equal(hadamard.astype(object), expected)
-
-    def test_poly_mul_length_check(self):
-        with pytest.raises(ValueError):
-            poly_mul(rand_poly(), rand_poly()[: N // 2], Q)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=N - 1))
@@ -59,7 +53,7 @@ class TestPolyHelpers:
         a = rand_poly()
         mono = np.zeros(N, dtype=np.uint64)
         mono[k] = 1
-        got = poly_mul(a, mono, Q)
+        got = (ring(a).to_eval() * ring(mono).to_eval()).to_coeff().data[0]
         expected = np.zeros(N, dtype=object)
         for j in range(N):
             idx = j + k

@@ -1,0 +1,36 @@
+"""Reference implementations the tests and benches compare against.
+
+Nothing in ``repro`` runs these: they are the slow, obviously-correct
+twins of library kernels, kept here so ``src/`` holds only code its
+callers run. Import them from the repository root
+(``from tests.oracles import keyswitch_looped``); the benches need the
+root on ``PYTHONPATH``.
+"""
+
+from .ckks import (
+    hoisted_rotations_looped,
+    keyswitch_looped,
+    linear_transform_looped,
+)
+from .ntt import (
+    apply_automorphism,
+    cyclic_convolution,
+    negacyclic_convolution,
+    reference_cyclic_intt,
+    reference_cyclic_ntt,
+    reference_negacyclic_intt,
+    reference_negacyclic_ntt,
+)
+
+__all__ = [
+    "apply_automorphism",
+    "cyclic_convolution",
+    "hoisted_rotations_looped",
+    "keyswitch_looped",
+    "linear_transform_looped",
+    "negacyclic_convolution",
+    "reference_cyclic_intt",
+    "reference_cyclic_ntt",
+    "reference_negacyclic_intt",
+    "reference_negacyclic_ntt",
+]
