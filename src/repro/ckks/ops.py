@@ -240,8 +240,12 @@ class Evaluator:
     def match_scale(self, ct: Ciphertext, target: float) -> Ciphertext:
         """Raise ``ct``'s scale to ``target`` by multiplying by 1.
 
-        ``target`` must be >= the current scale; the ratio is folded into a
-        constant-1 plaintext so slot values are unchanged.
+        ``target`` must be >= the current scale. The ratio is folded into
+        a constant plaintext that holds ``round(ratio)``, while the result
+        declares ``target``: slot values are scaled by
+        ``round(ratio) / ratio``. That is harmless for a ratio near the
+        scale (error < 1/ratio) but not for a small non-integer one (a
+        ratio of 1.06 rounds to 1 and shrinks the slots by 6 %).
         """
         if math.isclose(ct.scale, target, rel_tol=_SCALE_RTOL):
             return ct

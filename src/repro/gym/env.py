@@ -255,7 +255,7 @@ class TuningEnv:
                 pipe.params,
                 proxy_log2n=cfg["recorded.proxy_log2n"],
                 fuse=cfg["recorded.fuse"],
-                sine_degree=cfg["recorded.sine_degree"],
+                sine_degree=cfg["boot.sine_degree"],
             )
         elif self.workload == "helr":
             trace = recorded.record_helr_iteration_trace(pipe.params)

@@ -137,6 +137,8 @@ class ServingSimulator:
             self.catalog.max_batch,
         )
         self.jobs: List[Job] = []
+        #: Jobs whose batch has started running on a device.
+        self._started_jobs = 0
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._seq = itertools.count()
         # Batches admitted nowhere yet: pinned wait per device,
@@ -160,16 +162,13 @@ class ServingSimulator:
 
     def _schedule_completion(self, started: Optional[FleetJob]) -> None:
         if started is not None:
+            self._started_jobs += len(started.jobs)
             self._push(started.end_us, _COMPLETE, started)
 
     def _waiting_depth(self) -> int:
-        """Requests submitted but not yet running on a device."""
-        waiting = self.batcher.depth
-        waiting += sum(len(fj.jobs) for q in self._pinned for fj in q)
-        waiting += sum(len(fj.jobs) for fj in self._deferred)
-        for dev in self.fleet.devices:
-            waiting += sum(len(fj.jobs) for fj in dev.queue)
-        return waiting
+        """Requests submitted but not yet running on a device (in the
+        batcher, a pinned or deferred queue, or a device queue)."""
+        return len(self.jobs) - self._started_jobs
 
     def _advance(self, t: float) -> None:
         depth = self._waiting_depth()

@@ -18,9 +18,8 @@ operation instead of an hours-scale one.
 The recorded bootstrap's configuration (:data:`RECORDED_BOOT_CONFIG`,
 DESIGN.md §10) follows the published slim bootstrap [14], [26]: the
 proxy slot count and ``fuse`` give the three FFT stages of its radix
-decomposition per transform, and ``sine_degree`` is chosen so the
-Chebyshev product-recurrence issues about as many HMULTs as its deg-63
-BSGS EvalMod.
+decomposition per transform. EvalMod evaluates the functional
+bootstrap's own sine (``boot.sine_degree``, degree 63) by BSGS.
 """
 
 from __future__ import annotations
@@ -60,13 +59,6 @@ register_knob(KnobSpec(
         "published 3-stage radix decomposition).",
     observe=lambda pipe: pipe.config["recorded.fuse"],
 ))
-register_knob(KnobSpec(
-    name="recorded.sine_degree", layer="workloads",
-    domain=IntRange(7, 255, grid=(15, 31, 63)), default=31,
-    doc="Sine degree of the recorded bootstrap (calibrated to issue "
-        "about as many HMULTs as the published deg-63 BSGS).",
-    observe=lambda pipe: pipe.config["recorded.sine_degree"],
-))
 
 
 def _recorded_boot_config() -> Dict[str, int]:
@@ -74,12 +66,11 @@ def _recorded_boot_config() -> Dict[str, int]:
     return {
         "proxy_log2n": knob_default("recorded.proxy_log2n"),
         "fuse": knob_default("recorded.fuse"),
-        "sine_degree": knob_default("recorded.sine_degree"),
     }
 
 
-#: Calibrated recording knobs (see module docstring): proxy ring degree,
-#: FFT stage fusion, and sine degree of the recorded bootstrap.  Kept as
+#: Calibrated recording knobs (see module docstring): proxy ring degree
+#: and FFT stage fusion of the recorded bootstrap.  Kept as
 #: a module attribute for the benchmark harness; the values are the
 #: ``recorded.*`` knob defaults, not an independent copy.
 RECORDED_BOOT_CONFIG: Dict[str, int] = _recorded_boot_config()
@@ -94,9 +85,10 @@ def record_bootstrap_trace(params: CkksParams = None, *,
                            seed: int = 0) -> OpTrace:
     """Run one functional slim bootstrap at proxy scale and record it.
 
-    The knobs default to :data:`RECORDED_BOOT_CONFIG`. Traces are cached
-    per chain structure and knob set — the expensive functional run
-    happens once per parameter family per process.
+    The knobs default to :data:`RECORDED_BOOT_CONFIG`, the sine degree
+    to :class:`BootstrapConfig`'s (``boot.sine_degree``). Traces are
+    cached per chain structure and knob set — the expensive functional
+    run happens once per parameter family per process.
     """
     params = params or ParameterSets.boot()
     cfg = _recorded_boot_config()
@@ -104,20 +96,18 @@ def record_bootstrap_trace(params: CkksParams = None, *,
         cfg["proxy_log2n"] = proxy_log2n
     if fuse is not None:
         cfg["fuse"] = fuse
+    config = BootstrapConfig(fft_factored=True, fuse=cfg["fuse"])
     if sine_degree is not None:
-        cfg["sine_degree"] = sine_degree
+        config.sine_degree = sine_degree
     proxy = proxy_params_for(params, cfg["proxy_log2n"])
-    key = (chain_key(params), proxy.n, cfg["fuse"], cfg["sine_degree"],
+    key = (chain_key(params), proxy.n, cfg["fuse"], config.sine_degree,
            seed)
     cached = _trace_cache.get(key)
     if cached is not None:
         return cached
 
     ctx = CkksContext.create(proxy, seed=seed)
-    boot = Bootstrapper(ctx, BootstrapConfig(
-        sine_degree=cfg["sine_degree"], fft_factored=True,
-        fuse=cfg["fuse"],
-    ))
+    boot = Bootstrapper(ctx, config)
     rotations = boot.required_rotations()
     keys = ctx.keygen(rotations=rotations, conjugation=True)
     vals = np.zeros(ctx.slots)
@@ -302,7 +292,6 @@ def simulate_recorded_bootstrap(params: CkksParams = None, *,
                                 scheduler: OperationScheduler = None,
                                 style: str = "pe",
                                 proxy_log2n: int = None, fuse: int = None,
-                                sine_degree: int = None,
                                 optimize: bool = False,
                                 search: bool = False,
                                 seed: int = 0) -> WorkloadTiming:
@@ -316,8 +305,7 @@ def simulate_recorded_bootstrap(params: CkksParams = None, *,
     params = params or ParameterSets.boot()
     scheduler = scheduler or OperationScheduler(params)
     trace = record_bootstrap_trace(
-        params, proxy_log2n=proxy_log2n, fuse=fuse,
-        sine_degree=sine_degree, seed=seed,
+        params, proxy_log2n=proxy_log2n, fuse=fuse, seed=seed,
     )
     dag = _lower_for(trace, scheduler, style=style, batch=batch,
                      optimize=optimize, search=search)

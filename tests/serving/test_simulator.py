@@ -135,6 +135,46 @@ class TestMemoryPressure:
         assert rep.completed == rep.submitted
 
 
+def _rescan_depth(sim) -> int:
+    """Requests waiting anywhere: the batcher, the pinned and deferred
+    queues, and every device queue (the counter's reference)."""
+    waiting = sim.batcher.depth
+    waiting += sum(len(fj.jobs) for q in sim._pinned for fj in q)
+    waiting += sum(len(fj.jobs) for fj in sim._deferred)
+    for dev in sim.fleet.devices:
+        waiting += sum(len(fj.jobs) for fj in dev.queue)
+    return waiting
+
+
+class TestWaitingDepth:
+    """The waiting-depth counter equals a full queue rescan at every
+    event, and the report is identical to one built from the rescan."""
+
+    @pytest.mark.parametrize("policy",
+                             ["least_loaded", "round_robin", "memory_aware"])
+    @pytest.mark.parametrize("rate", [120.0, 250.0, 400.0])
+    def test_counter_matches_rescan(self, catalog, monkeypatch, policy,
+                                    rate):
+        cfg = config(gpus=2, rate_per_s=rate, policy=policy,
+                     hbm_bytes=2 * 2**30, max_wait_us=2_000.0)
+        depths = []
+        advance = ServingSimulator._advance
+
+        def checked(sim, t):
+            depths.append(_rescan_depth(sim))
+            assert sim._waiting_depth() == depths[-1]
+            advance(sim, t)
+
+        monkeypatch.setattr(ServingSimulator, "_advance", checked)
+        counted = ServingSimulator(cfg, catalog).run()
+        assert max(depths) > 0
+        monkeypatch.setattr(ServingSimulator, "_advance", advance)
+        monkeypatch.setattr(ServingSimulator, "_waiting_depth",
+                            _rescan_depth)
+        rescanned = ServingSimulator(cfg, catalog).run()
+        assert counted == rescanned
+
+
 class TestReportShape:
     def test_report_round_trips_json(self, catalog):
         rep = simulate_serving(config(gpus=2), catalog)

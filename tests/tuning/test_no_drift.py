@@ -8,7 +8,8 @@ move together — a reintroduced literal copy fails here immediately.
 """
 
 from repro.ckks.bootstrap import BootstrapConfig
-from repro.tuning import build_pipeline, knob_default, overriding_default
+from repro.tuning import (all_knobs, build_pipeline, knob_default,
+                          overriding_default)
 from repro.workloads.recorded import RECORDED_BOOT_CONFIG, _recorded_boot_config
 
 
@@ -41,12 +42,13 @@ def test_schedule_defaults_move_with_registry():
 
 def test_recorded_boot_config_is_registry_view():
     """The calibrated recording dict is the ``recorded.*`` defaults —
-    not an independent copy that could drift."""
+    not an independent copy that could drift. The recording has no sine
+    degree of its own: it evaluates ``boot.sine_degree``."""
     assert RECORDED_BOOT_CONFIG == {
         "proxy_log2n": knob_default("recorded.proxy_log2n"),
         "fuse": knob_default("recorded.fuse"),
-        "sine_degree": knob_default("recorded.sine_degree"),
     }
+    assert "recorded.sine_degree" not in all_knobs()
     with overriding_default("recorded.fuse", 2):
         assert _recorded_boot_config()["fuse"] == 2
 
