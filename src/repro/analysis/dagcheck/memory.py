@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..fhelint.findings import Finding
 from ...gpusim.device import GpuSpec
@@ -66,25 +66,17 @@ def predicted_schedule(dag: KernelDag,
     :func:`~repro.gpusim.streams.run_dag` (same rules: dependencies
     complete first, ready nodes launch in index order, a grid launches
     only when it fits the free SMs) so the CI bracket check compares two
-    separate codepaths rather than one with itself.
+    separate codepaths rather than one with itself; only the per-kernel
+    pricing, :func:`~repro.gpusim.engine.profile_kernel`, is shared.
     """
-    from ...gpusim import A100_PCIE_80G
-    from ...gpusim.engine import simulate_kernel
-    from ...gpusim.streams import spec_cache_key
+    from ...gpusim import A100_PCIE_80G, profile_kernel
 
     dev = device if device is not None else (dag.device or A100_PCIE_80G)
     nodes = dag.nodes
     n = len(nodes)
-    profile_cache: Dict[tuple, object] = {}
-    latency = [0.0] * n
-    sms = [0] * n
-    for i, node in enumerate(nodes):
-        key = spec_cache_key(node.spec)
-        prof = profile_cache.get(key)
-        if prof is None:
-            prof = profile_cache[key] = simulate_kernel(node.spec, dev)
-        latency[i] = prof.elapsed_us
-        sms[i] = prof.occupancy.sm_used
+    profiles = [profile_kernel(node.spec, dev) for node in nodes]
+    latency = [prof.elapsed_us for prof in profiles]
+    sms = [prof.occupancy.sm_used for prof in profiles]
 
     children: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n

@@ -20,7 +20,9 @@ from .engine import (
     KernelProfile,
     Occupancy,
     compute_occupancy,
+    profile_kernel,
     simulate_kernel,
+    spec_cache_key,
 )
 from .kernel import (
     BYTES_PER_GMEM_INSTR,
@@ -44,7 +46,6 @@ from .streams import (
     run_dag,
     run_serial,
     run_streams,
-    spec_cache_key,
 )
 from .timeline import (
     render_timeline,
@@ -96,6 +97,7 @@ __all__ = [
     "compute_occupancy",
     "fleet_to_chrome_trace",
     "profile_cache_stats",
+    "profile_kernel",
     "render_timeline",
     "reset_cache_stats",
     "run_dag",

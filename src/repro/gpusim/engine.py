@@ -3,7 +3,8 @@
 Given a :class:`~repro.gpusim.kernel.KernelSpec` and a
 :class:`~repro.gpusim.device.GpuSpec`, :func:`simulate_kernel` produces a
 :class:`KernelProfile`: elapsed time, the binding resource, Nsight-style
-stall attribution and throughput utilizations.
+stall attribution and throughput utilizations. Schedulers price through
+:func:`profile_kernel`, which memoises it per device for the process.
 
 Model
 -----
@@ -31,7 +32,8 @@ reflect algorithmic differences, not tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict
 
 from .device import GpuSpec
@@ -45,7 +47,7 @@ _WARPS_TO_HIDE_SMEM = 4
 _MAX_BLOCKS_PER_SM = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class Occupancy:
     """Resolved occupancy of one kernel on one device."""
 
@@ -56,9 +58,10 @@ class Occupancy:
     limited_by: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelProfile:
-    """Simulated execution profile of a single kernel launch."""
+    """Simulated execution profile of a single kernel launch (immutable:
+    :func:`profile_kernel` hands one instance to every caller)."""
 
     spec: KernelSpec
     device: GpuSpec
@@ -72,7 +75,7 @@ class KernelProfile:
     #: Launch + teardown overhead cycles.
     overhead_cycles: float
     issued_instructions: float
-    stalls: StallBreakdown = field(default_factory=StallBreakdown)
+    stalls: StallBreakdown
 
     @property
     def total_cycles(self) -> float:
@@ -211,7 +214,7 @@ def simulate_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
     if exec_cycles <= 0:
         exec_cycles = 1.0  # an empty kernel still occupies the pipeline
 
-    profile = KernelProfile(
+    return KernelProfile(
         spec=spec,
         device=device,
         occupancy=occ,
@@ -220,10 +223,56 @@ def simulate_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
         exec_cycles=exec_cycles,
         overhead_cycles=device.launch_overhead_cycles,
         issued_instructions=spec.warp_instructions,
+        stalls=_attribute_stalls(spec, device, occ, resources, exec_cycles),
     )
-    profile.stalls = _attribute_stalls(spec, device, occ, resources,
-                                       exec_cycles)
-    return profile
+
+
+def spec_cache_key(spec: KernelSpec) -> tuple:
+    """Full value identity of a spec (KernelSpec holds dicts, so the
+    key spells it out by hand); two specs with equal keys profile
+    identically on a given device."""
+    s = spec
+    return (
+        s.name, s.blocks, s.warps_per_block, s.int32_ops,
+        s.tensor_macs, s.gmem_read_bytes, s.gmem_write_bytes,
+        s.smem_read_bytes, s.smem_write_bytes, s.smem_per_block_bytes,
+        s.regs_per_thread, s.barriers, s.coalescing, s.efficiency,
+        s.gmem_round_trips, tuple(sorted(s.stall_hints.items())),
+        tuple(sorted(s.tags.items())),
+    )
+
+
+#: Profiles the memo keeps before evicting the least recently used: the
+#: serving catalog's ~7k distinct specs per device several times over,
+#: while device overrides (the tuning gym's ``gpu.*`` knobs) stay bounded.
+PROFILE_MEMO_SIZE = 1 << 15
+
+#: ``(device, spec_cache_key(spec)) -> KernelProfile``, least recent first.
+_PROFILE_MEMO: "OrderedDict[tuple, KernelProfile]" = OrderedDict()
+
+#: Memo hits/misses over every caller, and :func:`~repro.gpusim.run_dag`
+#: calls; read through :func:`~repro.gpusim.profile_cache_stats`.
+_PROFILE_STATS = {"hits": 0, "misses": 0, "runs": 0}
+
+
+def profile_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
+    """:func:`simulate_kernel`, memoised per device for the whole process.
+
+    Traced DAGs repeat a small set of kernel shapes across launches,
+    requests and schedule candidates; the model is a pure function of
+    ``(device, spec)``, so each distinct pair is priced once.
+    """
+    key = (device, spec_cache_key(spec))
+    prof = _PROFILE_MEMO.get(key)
+    if prof is not None:
+        _PROFILE_MEMO.move_to_end(key)
+        _PROFILE_STATS["hits"] += 1
+        return prof
+    prof = _PROFILE_MEMO[key] = simulate_kernel(spec, device)
+    _PROFILE_STATS["misses"] += 1
+    if len(_PROFILE_MEMO) > PROFILE_MEMO_SIZE:
+        _PROFILE_MEMO.popitem(last=False)
+    return prof
 
 
 def _attribute_stalls(spec: KernelSpec, device: GpuSpec, occ: Occupancy,

@@ -27,6 +27,9 @@ BYTES_PER_SMEM_INSTR = 128
 #: Lanes per warp.
 WARP_SIZE = 32
 
+#: Names ``KernelSpec.stall_hints`` may use.
+_STALL_NAMES = frozenset(reason.value for reason in StallReason)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -120,12 +123,11 @@ class KernelSpec:
             raise ValueError("regs_per_thread must be at least 1")
         if self.gmem_round_trips < 0:
             raise ValueError("gmem_round_trips must be non-negative")
-        known = {reason.value for reason in StallReason}
         for name, fraction in self.stall_hints.items():
-            if name not in known:
+            if name not in _STALL_NAMES:
                 raise ValueError(
                     f"unknown stall pipe {name!r} in stall_hints "
-                    f"(known: {sorted(known)})"
+                    f"(known: {sorted(_STALL_NAMES)})"
                 )
             if fraction < 0:
                 raise ValueError(f"stall_hints[{name!r}] must be >= 0")

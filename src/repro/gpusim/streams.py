@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .device import GpuSpec
-from .engine import KernelProfile, simulate_kernel
+from .engine import (_PROFILE_MEMO, _PROFILE_STATS, KernelProfile,
+                     profile_kernel)
 from .kernel import KernelSpec
+from .stalls import StallBreakdown
 
 
 @dataclass
@@ -66,11 +68,7 @@ class ExecutionResult:
     def total_stalls(self):
         merged = None
         for e in self.entries:
-            merged = (
-                e.profile.stalls
-                if merged is None
-                else merged.merged_with(e.profile.stalls)
-            )
+            merged = (merged or StallBreakdown()).merged_with(e.profile.stalls)
         return merged
 
     def by_name(self) -> Dict[str, List[TimelineEntry]]:
@@ -97,7 +95,7 @@ def run_streams(streams: Sequence[Sequence[KernelSpec]], device: GpuSpec,
     """
     result = ExecutionResult(device=device)
     profiles = [
-        [simulate_kernel(k, device) for k in stream] for stream in streams
+        [profile_kernel(k, device) for k in stream] for stream in streams
     ]
     stream_ready = [0.0] * len(streams)
     next_idx = [0] * len(streams)
@@ -147,69 +145,43 @@ def run_streams(streams: Sequence[Sequence[KernelSpec]], device: GpuSpec,
     return result
 
 
-def spec_cache_key(spec: KernelSpec) -> tuple:
-    """Full value identity of a spec (KernelSpec holds dicts, so the
-    key spells it out by hand); two specs with equal keys profile
-    identically on a given device."""
-    s = spec
-    return (
-        s.name, s.blocks, s.warps_per_block, s.int32_ops,
-        s.tensor_macs, s.gmem_read_bytes, s.gmem_write_bytes,
-        s.smem_read_bytes, s.smem_write_bytes, s.smem_per_block_bytes,
-        s.regs_per_thread, s.barriers, s.coalescing, s.efficiency,
-        s.gmem_round_trips, tuple(sorted(s.stall_hints.items())),
-        tuple(sorted(s.tags.items())),
-    )
-
-
-#: Cumulative hit/miss counters of :func:`run_dag`'s kernel-profile
-#: cache, in the ``all_cache_stats`` convention (PR 1).
-_PROFILE_CACHE = {"hits": 0, "misses": 0, "runs": 0, "currsize": 0}
-
-
 def profile_cache_stats() -> Dict[str, int]:
-    """Counters of the per-``run_dag`` kernel-profile cache.
+    """Counters of the process-wide kernel-profile memo
+    (:func:`~repro.gpusim.engine.profile_kernel`).
 
-    ``hits``/``misses`` accumulate across calls; ``currsize`` is the
-    distinct-spec count of the most recent run and ``runs`` the number
-    of :func:`run_dag` invocations (the cache is rebuilt per run — specs
-    are only guaranteed profile-identical for one device).
+    ``hits``/``misses`` accumulate over every caller, ``currsize`` is
+    the number of memoised ``(device, spec)`` profiles and ``runs`` the
+    number of :func:`run_dag` invocations.
     """
-    return dict(_PROFILE_CACHE)
+    return {**_PROFILE_STATS, "currsize": len(_PROFILE_MEMO)}
 
 
 def reset_cache_stats() -> None:
-    """Zero the process-global profile-cache counters.
-
-    Multi-run simulations (the serving layer prices thousands of DAGs
-    per experiment) call this between experiments so hit/miss counts
-    describe one run instead of accumulating across the process — the
-    same scoping problem :func:`profile_cache_stats`'s ``runs`` counter
-    only papers over.
-    """
-    for k in _PROFILE_CACHE:
-        _PROFILE_CACHE[k] = 0
+    """Empty the profile memo and zero its counters, so the next
+    pricing starts cold and the counts describe it alone."""
+    _PROFILE_MEMO.clear()
+    _PROFILE_STATS.update(dict.fromkeys(_PROFILE_STATS, 0))
 
 
 class cache_stats_scope:
     """Context manager giving one block its own cache-stat window.
 
     Counters are zeroed on entry and *restored cumulatively* on exit
-    (outer totals keep counting through the block); read the block's own
-    numbers with :func:`profile_cache_stats` before leaving, or from the
-    ``stats`` attribute afterwards.
+    (outer totals keep counting through the block); the memo itself stays
+    warm. Read the block's own numbers with :func:`profile_cache_stats`
+    before leaving, or from the ``stats`` attribute afterwards.
     """
 
     def __enter__(self) -> "cache_stats_scope":
-        self._outer = profile_cache_stats()
-        reset_cache_stats()
+        self._outer = dict(_PROFILE_STATS)
+        _PROFILE_STATS.update(dict.fromkeys(_PROFILE_STATS, 0))
         self.stats: Dict[str, int] = {}
         return self
 
     def __exit__(self, *exc) -> bool:
         self.stats = profile_cache_stats()
-        for k in ("hits", "misses", "runs"):
-            _PROFILE_CACHE[k] = self._outer[k] + self.stats[k]
+        for k in _PROFILE_STATS:
+            _PROFILE_STATS[k] = self._outer[k] + self.stats[k]
         return False
 
 
@@ -251,22 +223,8 @@ def run_dag(nodes: Sequence[DagKernel], device: GpuSpec) -> ExecutionResult:
                 )
             children[d].append(i)
         indegree[i] = len(node.deps)
-    # Traced DAGs repeat specs heavily (split parts, per-step launches);
-    # price each distinct spec once. KernelSpec holds dicts, so the key
-    # spells out the full identity by hand.
-    profile_cache: Dict[tuple, KernelProfile] = {}
-    profiles = []
-    for node in nodes:
-        key = spec_cache_key(node.spec)
-        prof = profile_cache.get(key)
-        if prof is None:
-            prof = profile_cache[key] = simulate_kernel(node.spec, device)
-            _PROFILE_CACHE["misses"] += 1
-        else:
-            _PROFILE_CACHE["hits"] += 1
-        profiles.append(prof)
-    _PROFILE_CACHE["runs"] += 1
-    _PROFILE_CACHE["currsize"] = len(profile_cache)
+    profiles = [profile_kernel(node.spec, device) for node in nodes]
+    _PROFILE_STATS["runs"] += 1
     result = ExecutionResult(device=device)
 
     #: dep-free nodes awaiting launch, popped in index order.

@@ -177,20 +177,11 @@ def schedule_search(dag, device=None, *,
     index order, so the permutation *is* the schedule.  Returns the best
     :class:`~repro.trace.lowering.KernelDag` and per-strategy latencies.
     """
-    from ...gpusim import A100_PCIE_80G, run_dag
-    from ...gpusim.engine import simulate_kernel
-    from ...gpusim.streams import spec_cache_key
+    from ...gpusim import A100_PCIE_80G, profile_kernel, run_dag
 
     dev = device if device is not None else (dag.device or A100_PCIE_80G)
     nodes = dag.nodes
-    cache: Dict[tuple, float] = {}
-    times: List[float] = []
-    for nd in nodes:
-        key = spec_cache_key(nd.spec)
-        t = cache.get(key)
-        if t is None:
-            t = cache[key] = simulate_kernel(nd.spec, dev).elapsed_us
-        times.append(t)
+    times = [profile_kernel(nd.spec, dev).elapsed_us for nd in nodes]
 
     children: List[List[int]] = [[] for _ in nodes]
     for i, nd in enumerate(nodes):

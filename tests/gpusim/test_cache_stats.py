@@ -1,4 +1,6 @@
-"""Process-global profile-cache counters: reset and scoping."""
+"""Process-wide profile-memo counters: reset and scoping."""
+
+import pytest
 
 from repro.gpusim import (
     A100_PCIE_80G,
@@ -20,6 +22,11 @@ def dag(*names):
                   deps=())
         for n in names
     ]
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    reset_cache_stats()
 
 
 class TestResetCacheStats:

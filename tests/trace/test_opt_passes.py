@@ -16,7 +16,7 @@ from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
 from repro.ckks.hoisting import hoisted_rotations
 from repro.ckks.params import ParameterSets
-from repro.gpusim import profile_cache_stats, run_dag
+from repro.gpusim import profile_cache_stats, reset_cache_stats, run_dag
 from repro.trace import lower_trace, validate_trace
 from repro.trace.ir import OpTrace, TraceEvent
 from repro.trace.opt import (
@@ -339,7 +339,11 @@ class TestReorder:
 
 
 class TestProfileCacheStats:
-    """Satellite: run_dag exposes its spec-profile cache counters."""
+    """run_dag reports the process-wide profile memo's counters."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        reset_cache_stats()
 
     def test_counters_follow_convention(self, hmult_trace):
         dag = lower_trace(hmult_trace, style="pe")
