@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..ckks.params import CkksParams
 from ..gpusim import (
     A100_SXM_40G,
@@ -28,6 +30,8 @@ from ..gpusim import (
 from ..core import costs
 from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
 from ..core.scheduler import record_op
+from ..ntt.bitsplit import bitsplit_matmul_mod
+from ..numtheory import BarrettReducer
 from ..trace.lowering import lower_trace
 
 #: TensorFHE kernels achieve the same silicon fraction as other
@@ -38,25 +42,28 @@ WORD = 4
 
 
 def functional_five_stage_ntt(x, tables):
-    """Execute TensorFHE's NTT *functionally*: one-level decomposition
-    with uint8 limb GEMM inner NTTs — exactly the Algorithm 1 dataflow
-    (split, limb GEMMs, merge + Hadamard, limb GEMMs, merge), bit-exact
-    against the reference transform (tested).
+    """Execute TensorFHE's NTT *functionally*: the negacyclic twist, then
+    a one-level ``N = N1 * N2`` four-step whose two inner-NTT stages are
+    uint8 limb GEMMs — exactly the Algorithm 1 dataflow (split, limb
+    GEMMs, merge + Hadamard, limb GEMMs, merge), bit-exact against the
+    reference transform (tested).
 
-    ``x``: ``(..., N)`` coefficients; ``tables``: NttTables of (q, N).
+    ``x``: ``(..., N)`` coefficients below ``q``; ``tables``: NttTables
+    of (q, N).
     """
-    import math
-
-    from ..ntt import HierarchicalNtt
-    from ..ntt.decompose import NttPlan
-
-    n = tables.n
+    n, red = tables.n, BarrettReducer(tables.modulus)
     bits = n.bit_length() - 1
-    n1 = 1 << (bits - bits // 2)
-    n2 = 1 << (bits // 2)
-    plan = NttPlan(n, left=NttPlan(n1), right=NttPlan(n2))
-    return HierarchicalNtt(tables, plan=plan,
-                           leaf_engine="tensor").forward(x)
+    n1, n2 = 1 << (bits - bits // 2), 1 << (bits // 2)
+    x = red.mul_vec(np.asarray(x, dtype=np.uint64), tables.psi_pows)
+    # Input index j = j1 + n1*j2 as a (j1, j2) matrix; n2-point NTTs
+    # along j2, twiddles w^(j1*k2), n1-point NTTs along j1; output
+    # index n2*k1 + k2.
+    a = np.swapaxes(x.reshape(*x.shape[:-1], n2, n1), -1, -2)
+    b = bitsplit_matmul_mod(a, tables.dft_matrix(n2), red)
+    c = red.mul_vec(b, tables.twiddle_matrix(n1, n2))
+    d = bitsplit_matmul_mod(np.swapaxes(c, -1, -2), tables.dft_matrix(n1),
+                            red)
+    return np.swapaxes(d, -1, -2).reshape(x.shape)
 
 
 class TensorFheNtt:

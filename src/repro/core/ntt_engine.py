@@ -10,11 +10,14 @@
   while CUDA warps run butterflies on their share of the batch
   (the paper's default: it beats every single-pipe variant).
 
-Each variant provides (a) a *functional* executor (bit-exact, via
-:mod:`repro.ntt`) and (b) a *kernel plan* priced by the GPU simulator.
-The executors are per-polynomial checks of the variants' leaf engines;
-the CKKS layer's batched domain conversions run the stacked Shoup kernel
-(:func:`repro.ntt.stacked_negacyclic_ntt`) instead.
+The variants differ only in how the GPU runs the transform, so they
+differ here only in pricing: each prices a *kernel plan* from
+:func:`~repro.core.costs.plan_work_counts` of its decomposition, and
+every variant's functional :meth:`WarpDriveNtt.forward` /
+:meth:`~WarpDriveNtt.inverse` runs the library's one NTT kernel
+(:func:`repro.ntt.stacked_negacyclic_ntt`), the same one the CKKS layer
+runs. The uint8 tensor-core numerics are executed in
+:func:`repro.baselines.tensorfhe.functional_five_stage_ntt`.
 Geometry follows §IV-D-2 (T=256, N_t=8, single kernel when the polynomial
 fits shared memory, dual kernel otherwise).
 """
@@ -26,12 +29,13 @@ from typing import List
 
 import numpy as np
 
-from ..analysis.annotations import returns_view
 from ..gpusim import A100_PCIE_80G, ExecutionResult, GpuSpec, KernelSpec, run_serial
 from ..ntt import (
-    HierarchicalNtt,
     NttTables,
     build_plan,
+    get_shoup_stack,
+    stacked_negacyclic_intt,
+    stacked_negacyclic_ntt,
 )
 from . import costs
 from .kernels import DEFAULT_GEOMETRY, WORD_BYTES, GeometryConfig
@@ -51,16 +55,6 @@ register_knob(KnobSpec(
     observe=lambda pipe: pipe.scheduler.ntt.variant,
 ))
 
-
-#: Functional leaf engine per variant (fused variants verify via tensor —
-#: all engines are bit-identical, see tests).
-_FUNCTIONAL_ENGINE = {
-    "wd-tensor": "tensor",
-    "wd-cuda": "cuda-gemm",
-    "wd-ftc": "tensor",
-    "wd-bo": "butterfly",
-    "wd-fuse": "tensor",
-}
 
 #: INT32 instructions per 32-bit GEMM MAC on CUDA cores: one IMAD plus
 #: amortized lazy reduction.
@@ -118,7 +112,8 @@ class WarpDriveNtt:
                  use_karatsuba: bool = False,
                  silicon_gap: float = None):
         """``silicon_gap`` overrides the global calibration scalar (the
-        robustness benchmark sweeps it to show orderings are stable)."""
+        robustness benchmark sweeps it to show orderings are stable);
+        ``use_karatsuba`` prices 9 limb GEMMs instead of 16 (§IV-A-4)."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; one of {VARIANTS}")
         self.n = n
@@ -136,27 +131,35 @@ class WarpDriveNtt:
             self.efficiency = min(1.0, self.efficiency)
         self.plan = build_plan(n)
         self.counts = costs.plan_work_counts(self.plan)
-        self._executors = {}
 
     # -- functional execution ---------------------------------------------------
 
-    @returns_view
-    def executor(self, tables: NttTables) -> HierarchicalNtt:
-        key = tables.modulus
-        if key not in self._executors:
-            self._executors[key] = HierarchicalNtt(
-                tables, plan=self.plan,
-                leaf_engine=_FUNCTIONAL_ENGINE[self.variant],
-                use_karatsuba=self.use_karatsuba,
-            )
-        return self._executors[key]
-
     def forward(self, x: np.ndarray, tables: NttTables) -> np.ndarray:
-        """Bit-exact negacyclic forward NTT (functional layer)."""
-        return self.executor(tables).forward(x)
+        """Negacyclic forward NTT over the last axis of ``x`` (values
+        below ``2**32``): the stacked kernel, bit-exact for every
+        variant."""
+        return self._transform(stacked_negacyclic_ntt, x, tables)
 
     def inverse(self, x: np.ndarray, tables: NttTables) -> np.ndarray:
-        return self.executor(tables).inverse(x)
+        """Negacyclic inverse NTT over the last axis (values below
+        ``2q``)."""
+        return self._transform(stacked_negacyclic_intt, x, tables)
+
+    def _transform(self, kernel, x: np.ndarray,
+                   tables: NttTables) -> np.ndarray:
+        """Run ``kernel`` on ``(..., N)`` as one ``(1, G, N)`` batch."""
+        if tables.n != self.n:
+            raise ValueError(
+                f"plan is for size {self.n}, tables for {tables.n}")
+        if tables.modulus >= 1 << 31:
+            raise ValueError(f"WarpDrive NTT needs a modulus below 2**31, "
+                             f"got {tables.modulus}")
+        x = np.asarray(x, dtype=np.uint64)
+        if x.ndim == 0 or x.shape[-1] != self.n:
+            raise ValueError(
+                f"last axis of {x.shape} does not match plan size {self.n}")
+        stack = get_shoup_stack((tables.modulus,), self.n)
+        return kernel(x.reshape(1, -1, self.n), stack).reshape(x.shape)
 
     # -- performance layer -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""NTT algorithm suite: every transform strategy the paper discusses.
+"""NTT algorithm suite: the library's transforms and the paper's planner.
 
 - :mod:`.radix2` — iterative Cooley-Tukey transform of one prime's rows
   (the per-row reference for the stacked kernel);
@@ -6,18 +6,21 @@
   ``(num_primes, [digits,] N)`` residue tensor, the only batched NTT the
   library runs (the single-level 4-step of Eq. 2 as exact float64 GEMMs
   on the numpy backend);
-- :mod:`.decompose` / :mod:`.hierarchical` — WarpDrive's multi-level
-  decomposition (Fig. 2, Table IV) with pluggable leaf engines;
-- :mod:`.gemm` / :mod:`.bitsplit` — CUDA-core and tensor-core (uint8 limb)
-  GEMM inner NTTs;
-- :mod:`.butterfly` — high-radix butterfly inner NTTs (WD-BO).
+- :mod:`.decompose` — WarpDrive's multi-level decomposition plans
+  (Fig. 2, Table IV), which price every variant of
+  :class:`~repro.core.WarpDriveNtt`;
+- :mod:`.bitsplit` — the tensor-core uint8 limb GEMM, executed exactly by
+  TensorFHE's Algorithm 1
+  (:func:`~repro.baselines.tensorfhe.functional_five_stage_ntt`).
+
+The paper's NTT variants differ only in how the GPU runs the transform;
+functionally every one of them is the stacked kernel.
 
 The O(N^2) ground-truth transforms that every engine is tested against
 are test oracles (``tests/oracles``), not library code.
 """
 
-from .bitsplit import bitsplit_matmul_mod, count_limb_gemms
-from .butterfly import SUPPORTED_RADICES, butterfly_inner_ntt, choose_radix
+from .bitsplit import bitsplit_matmul_mod
 from .decompose import (
     DEFAULT_LEAF_SIZE,
     DecompositionCost,
@@ -25,8 +28,6 @@ from .decompose import (
     build_plan,
     table_iv_rows,
 )
-from .gemm import gemm_inner_ntt, matmul_mod_uint32
-from .hierarchical import LEAF_ENGINES, ExecutionStats, HierarchicalNtt
 from .radix2 import cyclic_ntt, negacyclic_intt, negacyclic_ntt
 from .stacked import (
     ShoupStack,
@@ -45,24 +46,15 @@ from .tables import (
 __all__ = [
     "DEFAULT_LEAF_SIZE",
     "DecompositionCost",
-    "ExecutionStats",
-    "HierarchicalNtt",
-    "LEAF_ENGINES",
     "NttPlan",
     "NttTables",
-    "SUPPORTED_RADICES",
     "ShoupStack",
     "TABLE_CACHE_SIZE",
     "bitsplit_matmul_mod",
     "build_plan",
-    "butterfly_inner_ntt",
-    "choose_radix",
-    "count_limb_gemms",
     "cyclic_ntt",
-    "gemm_inner_ntt",
     "get_shoup_stack",
     "get_tables",
-    "matmul_mod_uint32",
     "negacyclic_intt",
     "negacyclic_ntt",
     "shoup_stack_cache_stats",

@@ -2,9 +2,10 @@
 
 Tensor cores multiply INT8 matrices with INT32 accumulation. A 32-bit NTT
 operand therefore travels as four uint8 limbs, the twiddle matrix as four
-more, and one modular matrix product becomes 16 small GEMMs (9 with the
-Karatsuba variant the paper evaluates and rejects, §IV-A-4) whose partial
-sums are shifted and merged before modular reduction.
+more, and one modular matrix product becomes 16 small GEMMs whose partial
+sums are reduced, shifted and merged. (The Karatsuba limb scheme the
+paper evaluates and rejects, §IV-A-4, would issue 9; it is priced by
+:class:`~repro.core.WarpDriveNtt`, not executed.)
 
 This module performs that *exact* dataflow in numpy: real limb splits, real
 int32-range accumulations (range-checked), real merges. The GPU simulator
@@ -20,30 +21,37 @@ import numpy as np
 
 from ..analysis.annotations import bounded
 from ..numtheory import BarrettReducer
-from ..numtheory.karatsuba import LIMB_BITS, split_limbs
 
+LIMB_BITS = 8
+#: A 32-bit word as four uint8 limbs.
+NUM_LIMBS = 4
 #: Exclusive bound of one uint8 limb.
-_LIMB_BOUND = 256
-#: Exclusive bound of a two-limb sum (Karatsuba cross operands).
-_SUM_BOUND = 2 * _LIMB_BOUND - 1
+_LIMB_BOUND = 1 << LIMB_BITS
 #: Deepest GEMM the schoolbook dataflow may accumulate in int32:
 #: products < 2**16, so k <= 2**15 keeps sums below 2**31.
 _SCHOOLBOOK_LANES = 1 << 15
-#: Deepest GEMM the two-level Karatsuba dataflow may accumulate: the
-#: outer cross GEMM multiplies sums of limb-sums (< 1021), so products
-#: reach ~2**20 and k must stay <= 2**11.
-_KARATSUBA_LANES = 1 << 11
 
-#: INT32 accumulator capacity of a tensor-core MMA chain.
-_ACC_LIMIT = 1 << 31
+#: (limb shift, accumulated GEMM) partial product entries.
+_Partial = Tuple[int, np.ndarray]
 
-#: (shift, sign, accumulated GEMM) partial product entries.
-_Partial = Tuple[int, int, np.ndarray]
+
+@bounded(assume=True, out_bits=LIMB_BITS)
+def split_limbs(values: np.ndarray, num_limbs: int = NUM_LIMBS) -> List[np.ndarray]:
+    """Split uint32-range values into ``num_limbs`` uint8-range limbs.
+
+    Limb 0 is the least significant. The output arrays stay uint64 so they
+    can feed numpy GEMMs without overflow; each entry is below 256.
+    """
+    values = values.astype(np.uint64, copy=False)
+    return [
+        (values >> np.uint64(LIMB_BITS * i)) & np.uint64(_LIMB_BOUND - 1)
+        for i in range(num_limbs)
+    ]
 
 
 @bounded(in_q=1, out_q=1, params={"x": {"q": 1}, "w": {"q": 1}})
-def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray, reducer: BarrettReducer,
-                        *, use_karatsuba: bool = False) -> np.ndarray:
+def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray,
+                        reducer: BarrettReducer) -> np.ndarray:
     """``(x @ w) mod q`` through the uint8-limb tensor-core dataflow.
 
     Parameters
@@ -54,9 +62,6 @@ def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray, reducer: BarrettReducer,
         ``(k, n)`` twiddle matrix of residues below ``q``.
     reducer:
         Barrett reducer for the target modulus.
-    use_karatsuba:
-        Evaluate the 9-multiplication Karatsuba limb scheme instead of the
-        16-multiplication schoolbook.
 
     Notes
     -----
@@ -69,107 +74,34 @@ def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray, reducer: BarrettReducer,
     k = x.shape[-1]
     if w.shape[0] != k:
         raise ValueError(f"inner dimensions differ: {k} vs {w.shape[0]}")
-    # Karatsuba operand sums cost 2 extra bits *per operand* (the paper's
-    # word-length loss): the outer cross GEMM multiplies sums of limb
-    # sums, up to 4*255 each, so its products carry 4 extra bits.
-    acc_bits = 2 * LIMB_BITS + (4 if use_karatsuba else 0)
-    if (1 << acc_bits) * k > _ACC_LIMIT:
+    if k > _SCHOOLBOOK_LANES:
         raise ValueError(
             f"GEMM depth {k} overflows the int32 tensor-core accumulator; "
             "decompose the NTT further (the paper's 2-level split keeps "
             "inner dimensions at 16)"
         )
-    x_limbs = split_limbs(x.astype(np.uint64, copy=False))
-    w_limbs = split_limbs(w.astype(np.uint64, copy=False))
-
-    if use_karatsuba:
-        partials = _karatsuba_partials(x_limbs, w_limbs)
-    else:
-        partials = _schoolbook_partials(x_limbs, w_limbs)
+    partials = _schoolbook_partials(split_limbs(x), split_limbs(w))
 
     two_pow = [np.uint64(pow(2, LIMB_BITS * s, reducer.modulus))
-               for s in range(8)]
+               for s in range(2 * NUM_LIMBS - 1)]
     result = None
-    for shift, sign, acc in partials:
+    for shift, acc in partials:
         # The int32 bound on ``acc`` is proven inside the partial
-        # builders (B-ACC at each GEMM); the list of (shift, sign, acc)
-        # tuples itself is outside the interval domain.
+        # builder (B-ACC at each GEMM); the list of (shift, acc) tuples
+        # itself is outside the interval domain.
         reduced = reducer.reduce_vec(acc)  # fhelint: allow-B-RED
         term = reducer.mul_vec(reduced, two_pow[shift])
-        if result is None:
-            result = term if sign > 0 else reducer.sub_vec(
-                np.zeros_like(term), term
-            )
-        elif sign > 0:
-            result = reducer.add_vec(result, term)
-        else:
-            result = reducer.sub_vec(result, term)
+        result = term if result is None else reducer.add_vec(result, term)
     return result
-
-
-def count_limb_gemms(use_karatsuba: bool = False) -> int:
-    """Number of uint8 GEMMs one 32-bit modular GEMM expands into."""
-    return 9 if use_karatsuba else 16
 
 
 @bounded(dtype="int32", max_lanes=_SCHOOLBOOK_LANES,
          params={"x_limbs": {"ubound": _LIMB_BOUND},
                  "w_limbs": {"ubound": _LIMB_BOUND}})
 def _schoolbook_partials(x_limbs, w_limbs) -> List[_Partial]:
-    """All 16 limb GEMMs, tagged with limb shift ``i + j`` and sign +1."""
+    """All 16 limb GEMMs, tagged with limb shift ``i + j``."""
     partials: List[_Partial] = []
     for i, xl in enumerate(x_limbs):
         for j, wl in enumerate(w_limbs):
-            partials.append((i + j, +1, xl @ wl))
-    return partials
-
-
-@bounded(dtype="int32", max_lanes=_KARATSUBA_LANES,
-         params={"a0": {"ubound": _SUM_BOUND}, "a1": {"ubound": _SUM_BOUND},
-                 "b0": {"ubound": _SUM_BOUND}, "b1": {"ubound": _SUM_BOUND}})
-def _kara2(a0, a1, b0, b1) -> List[_Partial]:
-    """3 GEMMs -> partials of (a0 + a1*2^8)(b0 + b1*2^8) at local shifts.
-
-    Operands may be limbs (< 256) or limb sums (< 511); the widest
-    products — the cross GEMM over sums of sums — still fit the int32
-    accumulator at depth ``_KARATSUBA_LANES``.
-    """
-    low = a0 @ b0
-    high = a1 @ b1
-    cross = (a0 + a1) @ (b0 + b1)
-    return [
-        (0, +1, low),
-        (1, +1, cross),
-        (1, -1, low),
-        (1, -1, high),
-        (2, +1, high),
-    ]
-
-
-@bounded(dtype="int32", max_lanes=_KARATSUBA_LANES,
-         params={"x_limbs": {"ubound": _LIMB_BOUND},
-                 "w_limbs": {"ubound": _LIMB_BOUND}})
-def _karatsuba_partials(x_limbs, w_limbs) -> List[_Partial]:
-    """9 limb GEMMs via two-level Karatsuba.
-
-    Each 2-limb half-product uses 3 GEMMs (low, high, (a0+a1)(b0+b1));
-    the outer level combines three half-products the same way. The
-    middle-term subtractions reuse already-computed GEMMs with negative
-    signs, so the GEMM count stays at 9 while the merge list grows.
-    """
-    x0, x1, x2, x3 = x_limbs
-    w0, w1, w2, w3 = w_limbs
-
-    lo = _kara2(x0, x1, w0, w1)         # A_lo * B_lo
-    hi = _kara2(x2, x3, w2, w3)         # A_hi * B_hi
-    cross = _kara2(x0 + x2, x1 + x3, w0 + w2, w1 + w3)
-
-    partials: List[_Partial] = []
-    partials.extend((s, sign, acc) for s, sign, acc in lo)
-    # Middle term: (cross - lo - hi) << 2 limbs.
-    partials.extend((s + 2, sign, acc) for s, sign, acc in cross)
-    partials.extend((s + 2, -sign, acc) for s, sign, acc in lo)
-    partials.extend((s + 2, -sign, acc) for s, sign, acc in hi)
-    # High term: hi << 4 limbs.
-    partials.extend((s + 4, sign, acc) for s, sign, acc in hi)
+            partials.append((i + j, xl @ wl))
     return partials

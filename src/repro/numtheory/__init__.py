@@ -2,14 +2,6 @@
 
 from .barrett import BarrettReducer, BatchBarrettReducer
 from .crt import CRTReconstructor
-from .karatsuba import (
-    KARATSUBA_COST,
-    SCHOOLBOOK_COST,
-    karatsuba_limb_product,
-    merge_limbs,
-    schoolbook_limb_product,
-    split_limbs,
-)
 from .modmath import (
     bit_reverse,
     bit_reverse_permutation,
@@ -40,12 +32,10 @@ __all__ = [
     "BarrettReducer",
     "BatchBarrettReducer",
     "CRTReconstructor",
-    "KARATSUBA_COST",
     "MAX_MODULUS_BITS",
     "MontgomeryReducer",
     "PrimeChain",
     "RNSBasis",
-    "SCHOOLBOOK_COST",
     "bit_reverse",
     "bit_reverse_permutation",
     "build_prime_chain",
@@ -56,13 +46,9 @@ __all__ = [
     "find_ntt_primes",
     "is_power_of_two",
     "is_probable_prime",
-    "karatsuba_limb_product",
-    "merge_limbs",
     "mod_down",
     "modinv",
     "modpow",
     "primitive_root",
     "root_of_unity",
-    "schoolbook_limb_product",
-    "split_limbs",
 ]

@@ -4,7 +4,7 @@ The paper (§IV-A-4) converts NTT twiddle factors to the Montgomery domain
 ahead of time — the domain conversion of one operand is then free, and
 Montgomery reduction beats Barrett by about 10% inside the NTT. This module
 provides both a scalar reference and the vectorized numpy form used by the
-per-prime transforms (:mod:`repro.ntt.radix2`, the hierarchical engines).
+per-prime radix-2 transform (:mod:`repro.ntt.radix2`).
 
 All moduli must be odd and below 2**31 (see :mod:`repro.numtheory.primes`);
 under that bound every intermediate fits a uint64 lane:

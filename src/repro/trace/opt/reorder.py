@@ -174,10 +174,12 @@ def schedule_search(dag, device=None, *,
 
     Every candidate is a permutation of the same :class:`DagNode` set
     with dependencies re-indexed — ``run_dag`` launches ready nodes in
-    index order, so the permutation *is* the schedule.  Returns the best
-    :class:`~repro.trace.lowering.KernelDag` and per-strategy latencies.
+    index order, so the permutation *is* the schedule.  Candidates are
+    priced as re-indexed kernel lists; only the winner is built as a
+    :class:`~repro.trace.lowering.KernelDag`.  Returns it and the
+    per-strategy latencies.
     """
-    from ...gpusim import A100_PCIE_80G, profile_kernel, run_dag
+    from ...gpusim import A100_PCIE_80G, DagKernel, profile_kernel, run_dag
 
     dev = device if device is not None else (dag.device or A100_PCIE_80G)
     nodes = dag.nodes
@@ -212,17 +214,20 @@ def schedule_search(dag, device=None, *,
         raise ValueError(f"unknown schedule strategy {strategy!r}")
 
     scores: Dict[str, float] = {}
-    best_dag = dag
+    best_order: List[int] = []
     best_us = None
     for strategy in strategies:
         order = order_for(strategy)
-        candidate = permute_dag(dag, order)
-        elapsed = run_dag(candidate.to_dag_kernels(), dev).elapsed_us
+        kernels = [DagKernel(spec=nodes[old].spec, deps=deps)
+                   for old, deps in zip(order, _reindexed_deps(nodes, order))]
+        elapsed = run_dag(kernels, dev).elapsed_us
         scores[strategy] = elapsed
         if best_us is None or elapsed < best_us:
             best_us = elapsed
-            best_dag = candidate
-    return best_dag, scores
+            best_order = order
+    if best_us is None:
+        return dag, scores
+    return permute_dag(dag, best_order), scores
 
 
 def _kahn(nodes, key: Callable[[int, Dict], tuple], *,
@@ -253,22 +258,30 @@ def _kahn(nodes, key: Callable[[int, Dict], tuple], *,
     return order
 
 
-def permute_dag(dag, order: Sequence[int]):
-    """Re-index a :class:`KernelDag` to a new topological order.
+def _reindexed_deps(nodes, order: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Each node's deps, in ``order``, re-indexed to ``order``.
 
     Raises if ``order`` is not a permutation or breaks a dependency
     (a dep must land before its dependent) — the machine-checkable
     legality contract of the schedule search.
     """
-    nodes = dag.nodes
     if sorted(order) != list(range(len(nodes))):
         raise ValueError("order is not a permutation of the node set")
     new_index = {old: new for new, old in enumerate(order)}
-    new_nodes = []
+    out = []
     for old in order:
-        nd = nodes[old]
-        deps = tuple(sorted(new_index[d] for d in nd.deps))
+        deps = tuple(sorted(new_index[d] for d in nodes[old].deps))
         if deps and deps[-1] >= new_index[old]:
             raise ValueError("order violates a dependency edge")
-        new_nodes.append(dataclasses.replace(nd, deps=deps))
-    return dataclasses.replace(dag, nodes=tuple(new_nodes))
+        out.append(deps)
+    return out
+
+
+def permute_dag(dag, order: Sequence[int]):
+    """Re-index a :class:`KernelDag` to a new topological order (legality
+    checked as in :func:`_reindexed_deps`)."""
+    nodes = dag.nodes
+    new_nodes = tuple(
+        dataclasses.replace(nodes[old], deps=deps)
+        for old, deps in zip(order, _reindexed_deps(nodes, order)))
+    return dataclasses.replace(dag, nodes=new_nodes)
