@@ -68,6 +68,9 @@ def predicted_schedule(dag: KernelDag,
     only when it fits the free SMs) so the CI bracket check compares two
     separate codepaths rather than one with itself; only the per-kernel
     pricing, :func:`~repro.gpusim.engine.profile_kernel`, is shared.
+
+    Every grid needs at least one SM, so the scan of the ready heap
+    stops once the array is full.
     """
     from ...gpusim import A100_PCIE_80G, profile_kernel
 
@@ -91,11 +94,12 @@ def predicted_schedule(dag: KernelDag,
     running: List[Tuple[float, int]] = []
     busy_sms = 0
     now = 0.0
+    sm_count = dev.sm_count
     while ready or running:
         deferred: List[int] = []
-        while ready:
+        while ready and busy_sms < sm_count:
             i = heapq.heappop(ready)
-            if dev.sm_count - busy_sms < sms[i]:
+            if sm_count - busy_sms < sms[i]:
                 deferred.append(i)
                 continue
             end = now + latency[i]

@@ -44,6 +44,7 @@ from .streams import (
     profile_cache_stats,
     reset_cache_stats,
     run_dag,
+    run_profiled_dag,
     run_serial,
     run_streams,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "render_timeline",
     "reset_cache_stats",
     "run_dag",
+    "run_profiled_dag",
     "save_fleet_trace",
     "run_serial",
     "run_streams",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 from .device import GpuSpec
@@ -81,8 +82,10 @@ class KernelProfile:
     def total_cycles(self) -> float:
         return self.exec_cycles + self.overhead_cycles
 
-    @property
+    @cached_property
     def elapsed_us(self) -> float:
+        # Schedulers read it once per node and candidate; the memo hands
+        # one profile to every caller, so it is converted once.
         return self.device.cycles_to_us(self.total_cycles)
 
     @property

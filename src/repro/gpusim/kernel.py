@@ -211,4 +211,9 @@ class KernelSpec:
         )
 
     def renamed(self, name: str, **tags) -> "KernelSpec":
-        return replace(self, name=name, tags={**self.tags, **tags})
+        """A copy with a new name and extra tags. :meth:`validate` reads
+        neither, so the copy skips ``__init__`` and its re-validation."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, name=name,
+                            tags={**self.tags, **tags})
+        return out

@@ -24,6 +24,7 @@ modulus-chain structure and only ``n`` changes (proxy-scale recording).
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -301,7 +302,8 @@ class _Lowerer:
             from ..baselines.tensorfhe import TensorFheNtt
 
             self._tf_ntt = TensorFheNtt(n, device=device, geometry=geometry)
-        #: (transforms, inverse) -> kernel plan; traces repeat row counts.
+        #: (transforms, inverse) -> kernel plan (the ``pe`` plan already
+        #: merged into one launch); traces repeat row counts.
         self._ntt_plans: Dict[Tuple[int, bool], List[KernelSpec]] = {}
 
     # -- NTT stage ------------------------------------------------------
@@ -309,21 +311,20 @@ class _Lowerer:
                    ) -> List[KernelSpec]:
         """Kernels for one NTT pass over ``rows`` residue rows."""
         transforms = rows * self.batch
-        if self.style == "tensorfhe":
-            plan = self._ntt_plans.get((transforms, False))
-            if plan is None:
-                plan = self._tf_ntt.kernel_plan(transforms)
-                self._ntt_plans[(transforms, False)] = plan
-            return [s.renamed(f"{name}.{s.name}") for s in plan]
-        plan = self._ntt_plans.get((transforms, inverse))
+        key = (transforms, inverse)
+        plan = self._ntt_plans.get(key)
         if plan is None:
-            plan = self._wd_ntt.kernel_plan(transforms, inverse=inverse)
-            self._ntt_plans[(transforms, inverse)] = plan
+            if self.style == "tensorfhe":
+                plan = self._tf_ntt.kernel_plan(transforms)
+            else:
+                plan = self._wd_ntt.kernel_plan(transforms, inverse=inverse)
+            if self.style == "pe":
+                plan = [functools.reduce(_merge_stages, plan)]
+            self._ntt_plans[key] = plan
+        if self.style == "tensorfhe":
+            return [s.renamed(f"{name}.{s.name}") for s in plan]
         if self.style == "pe":
-            spec = plan[0]
-            for extra in plan[1:]:
-                spec = _merge_stages(spec, extra)
-            return [spec.renamed(name, stage=name)]
+            return [plan[0].renamed(name, stage=name)]
         return [s.renamed(f"{name}[{i + 1}/{len(plan)}]")
                 for i, s in enumerate(plan)]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir import OpTrace, TraceEvent, validate_trace
-from .replay import replay_tokens, work_counts
+from .replay import event_work, replay_tokens, work_counts
 
 __all__ = [
     "OptimizationError", "PassStats", "OptReport", "TracePass",
@@ -99,23 +99,39 @@ class TracePass:
     def run(self, trace: OpTrace) -> Tuple[OpTrace, PassStats]:
         raise NotImplementedError
 
+    def run_with_tokens(self, trace: OpTrace, tokens: Dict[int, str],
+                        ) -> Tuple[OpTrace, PassStats]:
+        """:meth:`run`, given ``replay_tokens(trace)`` the verifying
+        pipeline already holds; a pass that reads tokens overrides it."""
+        return self.run(trace)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
 
 
-def _verify(name: str, before: OpTrace, after: OpTrace,
-            stats: PassStats) -> None:
+def _ledger(name: str, trace: OpTrace,
+            ) -> Tuple[Dict[int, str], Dict[str, int]]:
+    """Replay tokens and work counts of one trace (a pass's output is the
+    next pass's input, so each trace in the pipeline is tokenised once)."""
     try:
-        validate_trace(after)
-    except ValueError as exc:
-        raise OptimizationError(f"pass {name!r} broke structure: {exc}")
-    try:
-        tok_before = replay_tokens(before)
-        tok_after = replay_tokens(after)
+        return replay_tokens(trace), work_counts(trace)
     except KeyError as exc:
         raise OptimizationError(
             f"pass {name!r}: dependency on undefined event {exc}"
         )
+
+
+def _verify(name: str, before: Tuple[Dict[int, str], Dict[str, int]],
+            after: OpTrace, stats: PassStats,
+            ) -> Tuple[Dict[int, str], Dict[str, int]]:
+    """Check one pass against the ``before`` ledger of its input and
+    return the ledger of its output."""
+    try:
+        validate_trace(after)
+    except ValueError as exc:
+        raise OptimizationError(f"pass {name!r} broke structure: {exc}")
+    tok_before, work_before = before
+    tok_after, work_after = ledger = _ledger(name, after)
     removed_eids = {e.eid for e in stats.removed}
     expected = set(tok_before) - removed_eids
     got = set(tok_after)
@@ -132,16 +148,15 @@ def _verify(name: str, before: OpTrace, after: OpTrace,
                 f"pass {name!r} changed the computation of event {eid} "
                 "(replay token mismatch)"
             )
-    work_before = work_counts(before)
-    work_after = work_counts(after)
+    booked = dict(work_after)
     for e in stats.removed:
-        from .replay import event_work
-        work_after[e.kind] = work_after.get(e.kind, 0) + event_work(e)
-    if work_before != work_after:
+        booked[e.kind] = booked.get(e.kind, 0) + event_work(e)
+    if work_before != booked:
         raise OptimizationError(
             f"pass {name!r} broke work conservation: "
-            f"{work_before} != {work_after}"
+            f"{work_before} != {booked}"
         )
+    return ledger
 
 
 class PassPipeline:
@@ -154,10 +169,15 @@ class PassPipeline:
     def run(self, trace: OpTrace) -> Tuple[OpTrace, OptReport]:
         report = OptReport(label=trace.label)
         current = trace
+        ledger = None
+        if self.verify and self.passes:
+            ledger = _ledger(self.passes[0].name, trace)
         for p in self.passes:
-            nxt, stats = p.run(current)
-            if self.verify:
-                _verify(p.name, current, nxt, stats)
+            if ledger is None:
+                nxt, stats = p.run(current)
+            else:
+                nxt, stats = p.run_with_tokens(current, ledger[0])
+                ledger = _verify(p.name, ledger, nxt, stats)
             report.passes.append(stats)
             current = nxt
         return current, report

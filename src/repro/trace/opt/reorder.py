@@ -19,7 +19,8 @@ merged or dropped — replay parity is free by construction):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import OpTrace, TraceEvent
 from .graphs import event_reads, owner_positions
@@ -96,46 +97,67 @@ def trace_pool_peak_rows(trace: OpTrace,
 def _greedy_topo_order(events: Sequence[TraceEvent]) -> List[int]:
     """Topological order that greedily minimizes live pool rows."""
     owner = owner_positions(events)
-    preds: List[Set[int]] = []
-    consumers: Dict[int, List[int]] = {}
+    preds: List[List[int]] = []
+    consumers: List[List[int]] = [[] for _ in events]
     for pos, e in enumerate(events):
         ps = {owner[d] for d in event_reads(e) if d in owner}
         ps.discard(pos)
-        preds.append(ps)
-        for p in ps:
-            consumers.setdefault(p, []).append(pos)
-    remaining = {p: len(cs) for p, cs in consumers.items()}
+        preds.append(sorted(ps))
+        for p in preds[-1]:
+            consumers[p].append(pos)
     out_rows = [event_output_rows(e) for e in events]
-    indegree = [len(ps) for ps in preds]
-    ready = sorted(p for p, deg in enumerate(indegree) if deg == 0)
-    order: List[int] = []
-    done: Set[int] = set()
-    while ready:
-        best = None
-        best_key = None
-        for pos in ready:
-            freed = sum(
-                out_rows[p] for p in preds[pos] if remaining.get(p, 0) == 1
-                and all(c == pos or c in done
-                        for c in consumers.get(p, ()))
-            )
-            key = (out_rows[pos] - freed, pos)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = pos
-        ready.remove(best)
-        order.append(best)
-        done.add(best)
-        for p in preds[best]:
-            remaining[p] = remaining.get(p, 1) - 1
-        for pos, ps in enumerate(preds):
-            if best in ps:
-                indegree[pos] -= 1
-                if indegree[pos] == 0:
-                    ready.append(pos)
-        ready.sort()
+    order = least_live_order(out_rows, preds, consumers)
     if len(order) != len(events):
         raise ValueError("trace contains a dependency cycle")
+    return order
+
+
+def least_live_order(weight: Sequence[float],
+                     deps: Sequence[Sequence[int]],
+                     children: Sequence[Sequence[int]]) -> List[int]:
+    """Greedy topological order that keeps the fewest bytes live.
+
+    Among ready nodes it launches the one of least key
+    ``(weight[i] - freed, i)``, where ``freed`` sums the weights of the
+    deps ``i`` is the last unscheduled consumer of. ``children[p]`` lists
+    each consumer of ``p`` once per reference in its ``deps``. Returns a
+    short order if the graph has a cycle.
+
+    A ready node's key only falls, and only when one of its deps drops
+    to a single remaining consumer (weights are non-negative). So a
+    lazy-invalidation heap reproduces the min-scan order in
+    O((V + E) log V): the new key is pushed when it falls, and entries
+    of already scheduled nodes are dropped on pop.
+    """
+    n = len(deps)
+    remaining = [len(cs) for cs in children]
+    indegree = [len(ds) for ds in deps]
+    done = [False] * n
+
+    def key(i: int) -> Tuple[float, int]:
+        freed = sum(weight[p] for p in deps[i] if remaining[p] == 1)
+        return (weight[i] - freed, i)
+
+    heap = [key(i) for i in range(n) if indegree[i] == 0]
+    heapq.heapify(heap)
+    order: List[int] = []
+    while heap:
+        _, best = heapq.heappop(heap)
+        if done[best]:
+            continue
+        done[best] = True
+        order.append(best)
+        for p in deps[best]:
+            remaining[p] -= 1
+        for p in set(deps[best]):
+            if remaining[p] == 1:
+                last = next(c for c in children[p] if not done[c])
+                if indegree[last] == 0:
+                    heapq.heappush(heap, key(last))
+        for c in children[best]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                heapq.heappush(heap, key(c))
     return order
 
 
@@ -174,114 +196,129 @@ def schedule_search(dag, device=None, *,
 
     Every candidate is a permutation of the same :class:`DagNode` set
     with dependencies re-indexed — ``run_dag`` launches ready nodes in
-    index order, so the permutation *is* the schedule.  Candidates are
-    priced as re-indexed kernel lists; only the winner is built as a
+    index order, so the permutation *is* the schedule.  Each node is
+    priced once; every candidate runs the ``run_dag`` event loop over
+    those profiles, and only the winner is built as a
     :class:`~repro.trace.lowering.KernelDag`.  Returns it and the
     per-strategy latencies.
     """
-    from ...gpusim import A100_PCIE_80G, DagKernel, profile_kernel, run_dag
+    from ...gpusim import A100_PCIE_80G, profile_kernel, run_profiled_dag
 
     dev = device if device is not None else (dag.device or A100_PCIE_80G)
     nodes = dag.nodes
-    times = [profile_kernel(nd.spec, dev).elapsed_us for nd in nodes]
-
-    children: List[List[int]] = [[] for _ in nodes]
-    for i, nd in enumerate(nodes):
-        for d in nd.deps:
-            children[d].append(i)
-
-    def order_for(strategy: str) -> List[int]:
-        if strategy == "recorded":
-            return list(range(len(nodes)))
-        if strategy == "critical":
-            cp = [0.0] * len(nodes)
-            for i in range(len(nodes) - 1, -1, -1):
-                cp[i] = times[i] + max(
-                    (cp[c] for c in children[i]), default=0.0
-                )
-            return _kahn(nodes, lambda i, state: (-cp[i], i))
-        if strategy == "sjf":
-            return _kahn(nodes, lambda i, state: (times[i], i))
-        if strategy == "memory":
-            def key(i: int, state: Dict) -> tuple:
-                freed = sum(
-                    nodes[p].spec.gmem_write_bytes
-                    for p in nodes[i].deps
-                    if state["remaining"].get(p, 0) == 1
-                )
-                return (nodes[i].spec.gmem_write_bytes - freed, i)
-            return _kahn(nodes, key, track_memory=True)
-        raise ValueError(f"unknown schedule strategy {strategy!r}")
+    profiles = [profile_kernel(nd.spec, dev) for nd in nodes]
+    times = [prof.elapsed_us for prof in profiles]
+    out_bytes = [nd.spec.gmem_write_bytes for nd in nodes]
+    deps = [nd.deps for nd in nodes]
 
     scores: Dict[str, float] = {}
-    best_order: List[int] = []
-    best_us = None
+    best = None
     for strategy in strategies:
-        order = order_for(strategy)
-        kernels = [DagKernel(spec=nodes[old].spec, deps=deps)
-                   for old, deps in zip(order, _reindexed_deps(nodes, order))]
-        elapsed = run_dag(kernels, dev).elapsed_us
+        order = candidate_order(strategy, deps, times, out_bytes)
+        new_deps = _reindexed_deps(deps, order)
+        elapsed = run_profiled_dag([profiles[i] for i in order], new_deps,
+                                   dev).elapsed_us
         scores[strategy] = elapsed
-        if best_us is None or elapsed < best_us:
-            best_us = elapsed
-            best_order = order
-    if best_us is None:
+        if best is None or elapsed < best[0]:
+            best = (elapsed, order, new_deps)
+    if best is None:
         return dag, scores
-    return permute_dag(dag, best_order), scores
+    _, order, new_deps = best
+    return _permuted(dag, order, new_deps), scores
 
 
-def _kahn(nodes, key: Callable[[int, Dict], tuple], *,
-          track_memory: bool = False) -> List[int]:
-    indegree = [len(nd.deps) for nd in nodes]
-    children: List[List[int]] = [[] for _ in nodes]
-    consumers: Dict[int, int] = {}
-    for i, nd in enumerate(nodes):
-        for d in nd.deps:
+def candidate_order(strategy: str, deps: Sequence[Sequence[int]],
+                    times: Sequence[float],
+                    out_bytes: Sequence[float]) -> List[int]:
+    """One :func:`schedule_search` candidate: a topological order of the
+    nodes ``deps`` describes (each dep an earlier node), from per-node
+    latencies and output bytes.
+
+    ``critical`` launches the ready node with the longest latency path to
+    a sink first, ``sjf`` the shortest kernel, ``memory`` the node adding
+    the fewest live bytes (:func:`least_live_order`); ties go to the lower
+    index. Every order comes from a heap in O((V + E) log V).
+    """
+    n = len(deps)
+    if strategy == "recorded":
+        return list(range(n))
+    children: List[List[int]] = [[] for _ in range(n)]
+    for i, ds in enumerate(deps):
+        for d in ds:
             children[d].append(i)
-            consumers[d] = consumers.get(d, 0) + 1
-    state = {"remaining": dict(consumers)}
-    ready = [i for i, deg in enumerate(indegree) if deg == 0]
-    order: List[int] = []
-    while ready:
-        best = min(ready, key=lambda i: key(i, state))
-        ready.remove(best)
-        order.append(best)
-        if track_memory:
-            for d in nodes[best].deps:
-                state["remaining"][d] -= 1
-        for c in children[best]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                ready.append(c)
-    if len(order) != len(nodes):
+    if strategy == "memory":
+        order = least_live_order(out_bytes, deps, children)
+    elif strategy == "critical":
+        cp = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            cp[i] = times[i] + max((cp[c] for c in children[i]),
+                                   default=0.0)
+        order = _heap_kahn([(-c, i) for i, c in enumerate(cp)], deps,
+                           children)
+    elif strategy == "sjf":
+        order = _heap_kahn([(t, i) for i, t in enumerate(times)], deps,
+                           children)
+    else:
+        raise ValueError(f"unknown schedule strategy {strategy!r}")
+    if len(order) != n:
         raise ValueError("kernel DAG contains a cycle")
     return order
 
 
-def _reindexed_deps(nodes, order: Sequence[int]) -> List[Tuple[int, ...]]:
+def _heap_kahn(keys: Sequence[Tuple[float, int]],
+               deps: Sequence[Sequence[int]],
+               children: Sequence[Sequence[int]]) -> List[int]:
+    """Kahn's algorithm launching the ready node of least static key
+    (``keys[i]`` ends in ``i``)."""
+    indegree = [len(ds) for ds in deps]
+    heap = [keys[i] for i, deg in enumerate(indegree) if deg == 0]
+    heapq.heapify(heap)
+    order: List[int] = []
+    while heap:
+        best = heapq.heappop(heap)[-1]
+        order.append(best)
+        for c in children[best]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                heapq.heappush(heap, keys[c])
+    return order
+
+
+def _reindexed_deps(deps: Sequence[Sequence[int]], order: Sequence[int],
+                    ) -> List[Tuple[int, ...]]:
     """Each node's deps, in ``order``, re-indexed to ``order``.
 
     Raises if ``order`` is not a permutation or breaks a dependency
     (a dep must land before its dependent) — the machine-checkable
     legality contract of the schedule search.
     """
-    if sorted(order) != list(range(len(nodes))):
+    if sorted(order) != list(range(len(deps))):
         raise ValueError("order is not a permutation of the node set")
-    new_index = {old: new for new, old in enumerate(order)}
+    new_index = [0] * len(deps)
+    for new, old in enumerate(order):
+        new_index[old] = new
     out = []
-    for old in order:
-        deps = tuple(sorted(new_index[d] for d in nodes[old].deps))
-        if deps and deps[-1] >= new_index[old]:
+    for new, old in enumerate(order):
+        ds = tuple(sorted(new_index[d] for d in deps[old]))
+        if ds and ds[-1] >= new:
             raise ValueError("order violates a dependency edge")
-        out.append(deps)
+        out.append(ds)
     return out
 
 
 def permute_dag(dag, order: Sequence[int]):
     """Re-index a :class:`KernelDag` to a new topological order (legality
     checked as in :func:`_reindexed_deps`)."""
+    order = list(order)
+    deps = _reindexed_deps([nd.deps for nd in dag.nodes], order)
+    return _permuted(dag, order, deps)
+
+
+def _permuted(dag, order: Sequence[int], deps: Sequence[Tuple[int, ...]]):
+    from ..lowering import DagNode
+
     nodes = dag.nodes
-    new_nodes = tuple(
-        dataclasses.replace(nodes[old], deps=deps)
-        for old, deps in zip(order, _reindexed_deps(nodes, order)))
-    return dataclasses.replace(dag, nodes=new_nodes)
+    return dataclasses.replace(dag, nodes=tuple(
+        DagNode(spec=nd.spec, deps=ds, eids=nd.eids, op=nd.op,
+                group=nd.group)
+        for nd, ds in zip((nodes[old] for old in order), deps)))

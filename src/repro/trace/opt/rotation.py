@@ -72,8 +72,11 @@ class RotationDedupPass(TracePass):
         self.eliminate_dead = eliminate_dead
 
     def run(self, trace: OpTrace) -> Tuple[OpTrace, PassStats]:
+        return self.run_with_tokens(trace, replay_tokens(trace))
+
+    def run_with_tokens(self, trace: OpTrace, tokens: Dict[int, str],
+                        ) -> Tuple[OpTrace, PassStats]:
         events = trace.events
-        tokens = replay_tokens(trace)
         survivors: Dict[str, int] = {}
         remap: Dict[int, int] = {}
         drop: Set[int] = set()

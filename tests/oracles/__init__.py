@@ -21,11 +21,20 @@ from .ntt import (
     reference_negacyclic_intt,
     reference_negacyclic_ntt,
 )
+from .schedule import (
+    dag_windows_full_scan,
+    greedy_topo_order_min_scan,
+    kahn_min_scan,
+    schedule_orders_min_scan,
+)
 
 __all__ = [
     "apply_automorphism",
     "cyclic_convolution",
+    "dag_windows_full_scan",
+    "greedy_topo_order_min_scan",
     "hoisted_rotations_looped",
+    "kahn_min_scan",
     "keyswitch_looped",
     "linear_transform_looped",
     "negacyclic_convolution",
@@ -33,4 +42,5 @@ __all__ = [
     "reference_cyclic_ntt",
     "reference_negacyclic_intt",
     "reference_negacyclic_ntt",
+    "schedule_orders_min_scan",
 ]
