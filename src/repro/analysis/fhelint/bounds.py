@@ -850,8 +850,8 @@ class BoundsPass:
             if recv.func.id[:1].isupper():
                 return recv.func.id
             # Factory call: resolve through the callee's return annotation
-            # (e.g. ``active_backend() -> ArrayBackend`` dispatches to the
-            # backend-interface contracts).
+            # (e.g. ``active_backend() -> NumpyBackend`` dispatches to the
+            # kernels' contracts).
             return self.registry.return_class(recv.func.id)
         return None
 

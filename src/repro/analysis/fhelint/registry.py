@@ -87,7 +87,7 @@ class Registry:
     def return_class(self, name: str) -> Optional[str]:
         """Class named by the return annotation of the (unique) function
         ``name`` — resolves receivers like ``active_backend().mod_mul``
-        to the annotated backend-interface contract."""
+        to the annotated kernel contract."""
         infos = self.functions.get(name)
         if infos and len(infos) == 1 and infos[0].node is not None:
             return _ann_class_name(infos[0].node.returns)

@@ -1,10 +1,7 @@
-"""Numpy reference backend — always available, always the oracle.
+"""Numpy kernels of the RNS/NTT hot path.
 
-Every other backend is checked bit-for-bit against this one. It is also
-where the small-size batched-arithmetic regression documented in
-``BENCH_poly.json`` (PR 1: add/sub/mul at 0.56-0.87x vs the seed
-per-prime loop at n=2048/4096) is fixed, by two changes to the
-elementwise hot path:
+The elementwise hot path (add/sub/mul at n=2048/4096, ``BENCH_poly.json``)
+rests on two choices:
 
 * **Hardware-division reduce.** The row-wise Barrett partial-product
   assembly was ~17 ufunc passes with intermediate allocations; numpy's
@@ -32,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.annotations import bounded
-from .base import ArrayBackend
 
 _U32 = np.uint64(32)
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -156,16 +152,18 @@ def bconv_gemm(y: np.ndarray, table: np.ndarray, limbs: int, width: int,
     return out
 
 
-class NumpyBackend(ArrayBackend):
-    """Pure-numpy reference implementation of every backend op."""
-
-    name = "numpy"
+class NumpyBackend:
+    """The hot kernels. Array arguments are uint64 with the prime index
+    on axis 0; per-row moduli ``q`` arrive as 1-D ``(num_primes,)``
+    uint64 arrays. Every method returns canonical residues (``< q`` per
+    row) and leaves its inputs unchanged."""
 
     # ---- elementwise modular arithmetic ---------------------------------
 
     @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
     def mod_add(self, a: np.ndarray, b: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
+        """Row-wise ``a + b mod q_i`` for entries below ``q_i``."""
         s = a.astype(np.uint64, copy=False) + b.astype(np.uint64, copy=False)
         d = s - _col(q, s.ndim)
         # min-trick: d wrapped past 2**63 exactly when s < q.
@@ -175,6 +173,7 @@ class NumpyBackend(ArrayBackend):
     @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
     def mod_sub(self, a: np.ndarray, b: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
+        """Row-wise ``a - b mod q_i`` for entries below ``q_i``."""
         d = a.astype(np.uint64, copy=False) - b.astype(np.uint64, copy=False)
         # a >= b: d < q is already canonical and d + q > d picks d;
         # a < b: d wrapped huge, d + q wraps again to a + q - b < q.
@@ -184,11 +183,13 @@ class NumpyBackend(ArrayBackend):
 
     @bounded(assume=True, params={"a": {"q": 1}}, out_q=1)
     def mod_neg(self, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Row-wise ``-a mod q_i`` for entries below ``q_i``."""
         a = a.astype(np.uint64, copy=False)
         return np.where(a == 0, a, _col(q, a.ndim) - a)
 
     @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
     def mod_reduce(self, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Row-wise ``t mod q_i`` for any uint64 ``t``."""
         # One SIMD integer-division pass; exact for any uint64 input, so
         # it covers the full Barrett range (q**2 plus accumulator slack).
         return t.astype(np.uint64, copy=False) % _col(q, t.ndim)
@@ -196,6 +197,8 @@ class NumpyBackend(ArrayBackend):
     @bounded(assume=True, params={"a": {"q": 1}, "b": {"q": 1}}, out_q=1)
     def mod_mul(self, a: np.ndarray, b: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
+        """Row-wise ``a * b mod q_i`` for entries below ``q_i``; operands
+        broadcast against each other (numpy rules)."""
         prod = a.astype(np.uint64, copy=False) * \
             b.astype(np.uint64, copy=False)
         np.remainder(prod, _col(q, prod.ndim), out=prod)
@@ -203,16 +206,17 @@ class NumpyBackend(ArrayBackend):
 
     # ---- fused transform kernels ----------------------------------------
 
-    @bounded(assume=True, in_bits=32, out_q=1, out_q_lazy=2,
-             params={"x": {"bits": 32}})
-    def ntt_forward(self, x: np.ndarray, stack, *,
-                    lazy: bool = False) -> np.ndarray:
-        # Always canonical: lazy=True permits, never requires, < 2q.
+    @bounded(assume=True, in_bits=32, out_q=1, params={"x": {"bits": 32}})
+    def ntt_forward(self, x: np.ndarray, stack) -> np.ndarray:
+        """Forward stacked negacyclic NTT of a ``(P, G, N)`` batch below
+        ``2**32`` with a :class:`~repro.ntt.stacked.ShoupStack`'s tables."""
         return _gemm_four_step(x.astype(np.uint64, copy=False),
                                stack.forward, stack.q)
 
     @bounded(assume=True, in_q=2, out_q=1, params={"x": {"q": 2}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
+        """Inverse stacked negacyclic NTT of a ``(P, G, N)`` batch below
+        ``2q``."""
         return _gemm_four_step(x.astype(np.uint64, copy=False),
                                stack.inverse, stack.q)
 
@@ -220,6 +224,9 @@ class NumpyBackend(ArrayBackend):
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
     def wide_dot(self, ext: np.ndarray, rows: np.ndarray,
                  q: np.ndarray) -> np.ndarray:
+        """``sum_g ext[..., g, :] * rows[..., g, :] mod q_i`` over the
+        digit axis ``-2``, for canonical ``rows`` and any ``ext`` below
+        ``2**32``."""
         # Each < 2**63 product splits into 32-bit halves which accumulate
         # exactly in uint64, one digit slice at a time (G up to max_lanes);
         # the sums fold with (hi mod q) * (2**32 mod q) + lo.

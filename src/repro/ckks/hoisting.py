@@ -102,10 +102,8 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
                reads=(c1_coeff,), writes=(ext,))
 
         # One stacked NTT over the digits, shared by every step (the
-        # automorphism moves to the eval domain below). Lazy output: both
-        # the gather and the wide-accumulator inner product accept < 2q
-        # representatives, so the kernel skips its canonicalization.
-        ext_eval = stacked_negacyclic_ntt(ext, stack_target, lazy=True)
+        # automorphism moves to the eval domain below).
+        ext_eval = stacked_negacyclic_ntt(ext, stack_target)
         _temit("ntt", rows=num_target * num_digits, panes=num_digits,
                reads=(ext,), writes=(ext_eval,))
 

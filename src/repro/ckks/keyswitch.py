@@ -110,8 +110,8 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
 
         # stage 2: ModUp — the whole (L+K, dnum', N) digit tensor in one
         # pass. Single-prime digits (alpha == 1, the paper's dnum = L+1
-        # sets) stay lazy: the stacked NTT reduces them for free in its
-        # pre-twist.
+        # sets) stay lazy: the stacked NTT takes any input below 2**32
+        # to the canonical transform.
         ext = extend_basis_stacked(
             d_coeff, groups, RNSBasis(level_moduli), target_basis, lazy=True,
         )
@@ -121,10 +121,8 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
         if pool is not None:
             pool.allocate(ext.nbytes, "modup_digits")
 
-        # stage 3: NTT — all dnum'*(L+K) rows in one stacked pass. The
-        # output may stay *lazy* (< 2q): the wide-accumulator inner
-        # product tolerates 32-bit representatives.
-        ext_eval = stacked_negacyclic_ntt(ext, stack_target, lazy=True)
+        # stage 3: NTT — all dnum'*(L+K) rows in one stacked pass.
+        ext_eval = stacked_negacyclic_ntt(ext, stack_target)
         _temit("ntt", rows=num_digits * num_target, panes=num_digits,
                reads=(ext,), writes=(ext_eval,))
         if pool is not None:

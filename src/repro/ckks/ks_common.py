@@ -107,16 +107,15 @@ def wide_dot(ext: np.ndarray, rows: np.ndarray,
     Operands are ``(P, ..., G, N)`` tensors (prime axis leading, digit
     axis ``-2``, the stacked NTT's natural layout). ``rows`` must be
     canonical; ``ext`` may be *lazy* — any representatives ``< 2**32``
-    give the same result, so the stacked NTT can skip its final
-    canonicalization.
+    give the same result.
 
-    The split-accumulate kernel lives in the active backend
-    (:mod:`repro.backend`): each ``< 2**63`` product splits into 32-bit
-    halves which accumulate exactly in uint64, one digit slice at a time
-    (G up to ``max_lanes``), and the partial sums fold with
+    The split-accumulate kernel is :meth:`repro.backend.NumpyBackend.wide_dot`:
+    each ``< 2**63`` product splits into 32-bit halves which accumulate
+    exactly in uint64, one digit slice at a time (G up to
+    ``max_lanes``), and the partial sums fold with
     ``(hi mod q) * (2**32 mod q) + lo``. The result is canonical and
     bit-identical to the reference ``acc = acc + reduce(ext_g * rows_g)``
-    chain on every backend.
+    chain.
     """
     return active_backend().wide_dot(ext, rows, reducer.q_row())
 

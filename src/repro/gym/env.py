@@ -81,7 +81,7 @@ class Trajectory:
     """Full episode log: every evaluation plus the running best.
 
     ``base`` snapshots the effective unsearched-knob assignment the
-    episode ran under (parameter set, backend, machine model, ...), so
+    episode ran under (parameter set, machine model, ...), so
     a logged trajectory is replayable without guessing defaults.
     """
 
@@ -165,8 +165,8 @@ class TuningEnv:
         self._step = 0
 
     def _base_snapshot(self) -> Dict[str, Any]:
-        """Effective value of every *unsearched* knob (incl. the
-        ``backend`` knob, so logs show what the episode ran under)."""
+        """Effective value of every *unsearched* knob, so logs show what
+        the episode ran under."""
         return {name: value
                 for name, value in self.base.effective().items()
                 if name not in self.knob_names}

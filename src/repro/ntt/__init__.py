@@ -4,8 +4,7 @@
   (the per-row reference for the stacked kernel);
 - :mod:`.stacked` — the batched RNS engine: one transform over a whole
   ``(num_primes, [digits,] N)`` residue tensor, the only batched NTT the
-  library runs (the single-level 4-step of Eq. 2 as exact float64 GEMMs
-  on the numpy backend);
+  library runs (the single-level 4-step of Eq. 2 as exact float64 GEMMs);
 - :mod:`.decompose` — WarpDrive's multi-level decomposition plans
   (Fig. 2, Table IV), which price every variant of
   :class:`~repro.core.WarpDriveNtt`;

@@ -6,12 +6,11 @@ needs all ``dnum * num_primes`` rows transformed in one pass, the way
 WarpDrive's PE kernels consume the digit dimension as ciphertext-level
 parallelism (§IV-C) rather than launching per-digit transforms serially.
 
-The numpy backend runs it as the paper's GEMM four-step (§IV-A/B,
-Eq. 2): exact float64 BLAS GEMMs with the negacyclic twists folded into
-the :class:`GemmTables` factors and :func:`limb_split` bounding every
-partial sum below ``2**53``. The numba backend keeps radix-2 Shoup
-butterflies over :class:`ShoupTwiddles`. Both table sets are built on
-first read.
+It runs as the paper's GEMM four-step (§IV-A/B, Eq. 2): exact float64
+BLAS GEMMs with the negacyclic twists folded into the
+:class:`GemmTables` factors and :func:`limb_split` bounding every
+partial sum below ``2**53``. Each direction's tables are built on first
+read.
 
 Outputs are canonical (``< q``) and bit-identical to running
 :func:`~repro.ntt.radix2.negacyclic_ntt` / ``negacyclic_intt`` row by row
@@ -33,7 +32,6 @@ import numpy as np
 
 from ..analysis.annotations import bounded, coeff_form, eval_form, takes_form
 from ..backend import active_backend
-from ..numtheory import bit_reverse_permutation
 from .tables import TABLE_CACHE_SIZE, get_tables
 
 _U32 = np.uint64(32)
@@ -143,39 +141,10 @@ class GemmTables:
         self.t_sh = _shoup(self.t, q_col[:, None])
 
 
-class ShoupTwiddles:
-    """Radix-2 butterfly twiddles with Shoup companions (``*_sh``) for
-    the numba backend: the bit-reversal ``perm``, the pre-twist
-    ``psi_perm`` in bit-reversed order, the ``(P, N)`` cyclic-core
-    ``omega`` / ``omega_inv`` tables, and the inverse post-twist with
-    ``N^{-1}`` fused in, ``psi_inv_scale``."""
-
-    def __init__(self, stack: "ShoupStack"):
-        n = stack.n
-        tabs = [get_tables(q, n) for q in stack.moduli]
-        q_col = stack.q[:, None]
-        self.perm = np.array(bit_reverse_permutation(n), dtype=np.intp)
-
-        psi = np.stack([t.psi_pows for t in tabs])
-        self.psi_perm = np.ascontiguousarray(psi[:, self.perm])
-        self.psi_perm_sh = _shoup(self.psi_perm, q_col)
-        self.omega = np.stack([t.omega_pows for t in tabs])
-        self.omega_sh = _shoup(self.omega, q_col)
-        self.omega_inv = np.stack([t.omega_inv_pows for t in tabs])
-        self.omega_inv_sh = _shoup(self.omega_inv, q_col)
-
-        psi_inv = np.stack([t.psi_inv_pows for t in tabs])
-        n_inv = np.array([t.n_inv for t in tabs], dtype=np.uint64)[:, None]
-        # psi_inv * n_inv < 2**62 fits uint64; one fused post-scale table.
-        self.psi_inv_scale = (psi_inv * n_inv) % q_col
-        self.psi_inv_scale_sh = _shoup(self.psi_inv_scale, q_col)
-
-
 class ShoupStack:
     """Transform tables for one ``(moduli, N)`` chain, shared by every
-    stacked transform over that chain and each built on first read:
-    :attr:`forward` / :attr:`inverse` (:class:`GemmTables`, numpy
-    backend) and :attr:`shoup` (:class:`ShoupTwiddles`, numba backend).
+    stacked transform over that chain: :attr:`forward` / :attr:`inverse`
+    (:class:`GemmTables`), each built on first read.
     """
 
     def __init__(self, moduli: Sequence[int], n: int):
@@ -190,10 +159,6 @@ class ShoupStack:
     @cached_property
     def inverse(self) -> GemmTables:
         return GemmTables(self, inverse=True)
-
-    @cached_property
-    def shoup(self) -> ShoupTwiddles:
-        return ShoupTwiddles(self)
 
     @property
     def num_primes(self) -> int:
@@ -224,27 +189,21 @@ def _check_shape(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
 
 @eval_form
 @takes_form(x="coeff")
-@bounded(in_bits=32, out_q=1, out_q_lazy=2, params={"x": {"bits": 32}})
-def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
-                           lazy: bool = False) -> np.ndarray:
+@bounded(in_bits=32, out_q=1, params={"x": {"bits": 32}})
+def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
-    The transform itself lives in the active backend
-    (:mod:`repro.backend`); this wrapper owns shape validation and the
-    2-D squeeze so every backend sees the same ``(P, G, N)`` batch.
+    The transform itself is :meth:`repro.backend.NumpyBackend.ntt_forward`;
+    this wrapper owns shape validation and the 2-D squeeze so the kernel
+    always sees a ``(P, G, N)`` batch.
 
     Accepts lazy inputs: any representatives ``< 2**32`` transform to the
     same canonical result as their reduced values.
-
-    ``lazy``: the caller accepts lazy values ``< 2q`` (congruent to the
-    canonical transform; backend-specific, and the numpy backend returns
-    canonical values anyway) — for consumers that tolerate 32-bit
-    representatives, e.g. the wide-accumulator inner product.
     """
     squeeze = x.ndim == 2
     x = _check_shape(x, stack)
-    out = active_backend().ntt_forward(x, stack, lazy=lazy)
+    out = active_backend().ntt_forward(x, stack)
     return out[:, 0, :] if squeeze else out
 
 
@@ -254,8 +213,8 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
 def stacked_negacyclic_intt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
     """Inverse negacyclic NTT of a ``(P, G, N)`` batch (or ``(P, N)``
     matrix); canonical output, same shape. Inputs must be ``< 2q``
-    (canonical inputs always qualify). Delegates the transform to the
-    active backend (:mod:`repro.backend`)."""
+    (canonical inputs always qualify). The transform itself is
+    :meth:`repro.backend.NumpyBackend.ntt_inverse`."""
     squeeze = x.ndim == 2
     x = _check_shape(x, stack)
     out = active_backend().ntt_inverse(x, stack)

@@ -157,7 +157,7 @@ class BatchBarrettReducer:
     @bounded(assume=True, out_q=1)
     def q_row(self) -> np.ndarray:
         """The modulus vector as a flat ``(num_primes,)`` uint64 array —
-        the per-row constant shape the backend interface takes."""
+        the per-row constant shape the backend kernels take."""
         return self._q
 
     @bounded(assume=True, params={"t": {"ubound": _REDUCE_INPUT}},
@@ -165,7 +165,7 @@ class BatchBarrettReducer:
     def reduce_mat(self, t: np.ndarray) -> np.ndarray:
         """Row-wise ``t mod q_i`` for uint64 entries below ``q_i**2``.
 
-        Delegates to the active backend (`repro.backend`); every backend
+        Delegates to :meth:`repro.backend.NumpyBackend.mod_reduce`, which
         returns the canonical residue bit-identical to
         :meth:`BarrettReducer.reduce_vec` with the row's own constants.
         """

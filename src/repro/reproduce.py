@@ -200,13 +200,9 @@ def gym_summary() -> str:
     Reads ``BENCH_gym.json`` when the benchmark has been run; otherwise
     runs one short live hill-climb over a cheap op-level workload so the
     summary still shows the declared-knob search working end to end.
-    The ``backend`` row surfaces the env-declared knob that replaced the
-    bare ``REPRO_BACKEND`` lookup.
     """
     import json
     import os
-
-    from .tuning import knob_default
 
     rows = []
     path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
@@ -237,8 +233,6 @@ def gym_summary() -> str:
             f"{result.baseline_latency_us / result.best_latency_us:.2f}x",
         ])
         title = "Tuning gym on op:hmult (live run; see bench_gym)"
-    rows.append(["backend knob", None, None, None,
-                 knob_default("backend")])
     return format_table(
         ["searcher", "evals", "baseline us", "best us", "gain"],
         rows, title=title, col_width=12,

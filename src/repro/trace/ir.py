@@ -186,6 +186,13 @@ class OpTrace:
         return replace(self, events=tuple(out))
 
 
+def _invalid(pos: int, e: TraceEvent, problem: str) -> ValueError:
+    """``validate_trace``'s error for event ``e`` at index ``pos``: the
+    location is formatted only on the raise path."""
+    return ValueError(f"event #{pos} (eid {e.eid}, kind {e.kind!r}): "
+                      f"{problem}")
+
+
 def validate_trace(trace: OpTrace) -> OpTrace:
     """Structural validity of a (possibly optimized) trace; chainable.
 
@@ -200,64 +207,56 @@ def validate_trace(trace: OpTrace) -> OpTrace:
     defined: set = set()
     seen_eids: set = set()
     for pos, e in enumerate(trace.events):
-        where = f"event #{pos} (eid {e.eid}, kind {e.kind!r})"
         if e.kind not in ALL_KINDS:
-            raise ValueError(f"{where}: unknown kind")
+            raise _invalid(pos, e, "unknown kind")
         for k, v in e.shape.items():
             if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{where}: shape[{k!r}] = {v!r}")
+                raise _invalid(pos, e, f"shape[{k!r}] = {v!r}")
         for d in e.deps:
             if d not in defined:
-                raise ValueError(
-                    f"{where}: dep {d} does not reference an earlier event"
-                )
+                raise _invalid(
+                    pos, e, f"dep {d} does not reference an earlier event")
         if e.fused:
             if e.kind in ("ntt", "intt"):
                 pre = e.shape.get("fold_pre", 0)
                 post = e.shape.get("fold_post", 0)
                 if pre + post + 1 != len(e.fused):
-                    raise ValueError(
-                        f"{where}: fold_pre+fold_post+1 != len(fused)"
-                    )
+                    raise _invalid(
+                        pos, e, "fold_pre+fold_post+1 != len(fused)")
                 host = e.fused[pre]
                 if host.kind != e.kind:
-                    raise ValueError(
-                        f"{where}: folded host kind {host.kind!r} differs"
-                    )
+                    raise _invalid(
+                        pos, e, f"folded host kind {host.kind!r} differs")
                 twists = e.fused[:pre] + e.fused[pre + 1:]
             elif e.kind == "fused_elementwise":
                 twists = e.fused
             elif e.kind == "fused_launch":
                 twists = ()
             else:
-                raise ValueError(f"{where}: kind cannot carry constituents")
+                raise _invalid(pos, e, "kind cannot carry constituents")
             for c in twists:
                 if c.kind not in ELEMENTWISE_KINDS:
-                    raise ValueError(
-                        f"{where}: constituent eid {c.eid} kind {c.kind!r} "
-                        "is not element-wise"
-                    )
+                    raise _invalid(
+                        pos, e, f"constituent eid {c.eid} kind {c.kind!r} "
+                        "is not element-wise")
             group_eids = {c.eid for c in e.fused}
             for c in e.fused:
                 if c.fused:
-                    raise ValueError(
-                        f"{where}: constituent eid {c.eid} is itself fused"
-                    )
+                    raise _invalid(
+                        pos, e, f"constituent eid {c.eid} is itself fused")
                 if c.kind not in EVENT_KINDS:
-                    raise ValueError(
-                        f"{where}: constituent eid {c.eid} has non-primitive "
-                        f"kind {c.kind!r}"
-                    )
+                    raise _invalid(
+                        pos, e, f"constituent eid {c.eid} has non-primitive "
+                        f"kind {c.kind!r}")
                 for d in c.deps:
                     if d not in defined and d not in group_eids:
-                        raise ValueError(
-                            f"{where}: constituent eid {c.eid} dep {d} is "
-                            "neither earlier nor inside the group"
-                        )
+                        raise _invalid(
+                            pos, e, f"constituent eid {c.eid} dep {d} is "
+                            "neither earlier nor inside the group")
         new_eids = (e.eid,) + tuple(c.eid for c in e.fused)
         for eid in new_eids:
             if eid in seen_eids:
-                raise ValueError(f"{where}: duplicate eid {eid}")
+                raise _invalid(pos, e, f"duplicate eid {eid}")
             seen_eids.add(eid)
         defined.update(new_eids)
     return trace

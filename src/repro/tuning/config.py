@@ -119,7 +119,7 @@ class TuningConfig:
 
         Round-trip contract: ``TuningConfig.from_dict(cfg.to_dict())``
         builds a pipeline that prices bit-identically to ``cfg``'s, even
-        if registry defaults (or ``REPRO_BACKEND``) change in between —
+        if registry defaults change in between —
         the snapshot pins *every* knob explicitly.
         """
         return self.effective()
@@ -160,7 +160,6 @@ class Pipeline:
     scheduler: Any        # repro.core.scheduler.OperationScheduler
     style: str
     batch: int
-    backend: str
     optimize: bool
     search: bool
 
@@ -170,7 +169,7 @@ class Pipeline:
             f"{self.params.name} on {self.device.name} "
             f"[{self.scheduler.ntt.variant}/{self.style}, "
             f"tpb={self.geometry.threads_per_block}, "
-            f"batch={self.batch}, backend={self.backend}"
+            f"batch={self.batch}"
             f"{', dagopt' if self.optimize else ''}]"
         )
 
@@ -241,7 +240,6 @@ def build_pipeline(config: Optional[TuningConfig] = None,
         scheduler=scheduler,
         style=cfg["machine.style"],
         batch=cfg["serving.batch"],
-        backend=cfg["backend"],
         optimize=cfg["dagopt.optimize"],
         search=cfg["dagopt.search"],
     )

@@ -3,7 +3,7 @@
 Every layer of the stack exposes performance/co-design knobs — ``dnum``
 in the CKKS parameters, ``fft_factored``/``fuse`` in the bootstrap,
 NTT variant and launch geometry, the GPU machine model, lowering style,
-batch size, compute backend.  Before this module they were smeared
+batch size.  Before this module they were smeared
 across constructors as ad-hoc kwargs whose defaults were duplicated (and
 drifted — the schedule layer's ``fuse`` default diverged from
 ``BootstrapConfig``'s once already).  Now each owning module *declares*
@@ -48,7 +48,6 @@ DECLARING_MODULES: Tuple[str, ...] = (
     "repro.gpusim.device",
     "repro.trace.lowering",
     "repro.serving.simulator",
-    "repro.backend.base",
 )
 
 
@@ -186,8 +185,6 @@ class KnobSpec:
     to the value this knob materialized as — the round-trip contract the
     property suite checks for every registered knob: assigning an
     in-domain, non-``None`` value must be observable on the built object.
-    ``default_factory`` (e.g. the backend knob reading ``REPRO_BACKEND``)
-    wins over ``default`` when set.
     """
 
     name: str
@@ -195,14 +192,11 @@ class KnobSpec:
     domain: Domain
     doc: str
     default: Any = None
-    default_factory: Optional[Callable[[], Any]] = None
     observe: Optional[Callable[[Any], Any]] = None
 
     def resolve_default(self) -> Any:
         if self.name in _DEFAULT_OVERRIDES:
             return _DEFAULT_OVERRIDES[self.name]
-        if self.default_factory is not None:
-            return self.default_factory()
         return self.default
 
     def validate(self, value: Any) -> Any:
@@ -232,8 +226,7 @@ def register_knob(spec: KnobSpec) -> KnobSpec:
             f"knob {spec.name!r} already declared by layer "
             f"{existing.layer!r}; {spec.layer!r} must not redeclare it"
         )
-    if spec.default_factory is None:
-        spec.validate(spec.default)
+    spec.validate(spec.default)
     _REGISTRY[spec.name] = spec
     return spec
 

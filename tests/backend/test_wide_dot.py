@@ -10,7 +10,6 @@ pipeline's ``(P, S, G, N)`` shape.
 import numpy as np
 import pytest
 
-from repro.backend import use_backend
 from repro.ckks.ks_common import wide_dot
 from repro.numtheory import find_ntt_primes
 from repro.numtheory.barrett import BatchBarrettReducer
@@ -51,7 +50,6 @@ def test_matches_per_digit_chain(shape, top):
     ext, rows = operands(shape, np.random.default_rng(len(shape)), top=top)
     reducer = BatchBarrettReducer(MODULI)
     want = per_digit_chain(ext, rows, reducer.q_row())
-    with use_backend("numpy"):
-        got = wide_dot(ext, rows, reducer)
+    got = wide_dot(ext, rows, reducer)
     assert got.shape == want.shape
     assert np.array_equal(got, want)

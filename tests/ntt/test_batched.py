@@ -119,7 +119,8 @@ class TestGemmExactness:
     """The float64 GEMM four-step stays exact at its worst-case inputs:
     forward values at ``2**32 - 1``, inverse values at ``2q - 1``, and
     the largest 30- and 31-bit NTT primes (the 30-bit chain keeps two
-    16-bit limbs at ``N = 2**14``, right at the ``2**53`` edge)."""
+    16-bit limbs at ``N = 2**14``, right at the ``2**53`` edge), as a
+    ``(P, N)`` matrix and as a ``(P, 2, N)`` digit batch."""
 
     @pytest.mark.parametrize("bits", [30, 31])
     @pytest.mark.parametrize("log_n", range(1, 15))
@@ -135,6 +136,14 @@ class TestGemmExactness:
         inv = stacked_negacyclic_intt(edge, stack)
         assert np.array_equal(inv,
                               _per_row(negacyclic_intt, edge, moduli, n))
+        # The ceilings again as digit 0 of a (P, 2, N) batch whose digit 1
+        # holds the canonical maximum q - 1.
+        low = np.broadcast_to(q_col - 1, (2, n)).copy()
+        for fn, ref, hi in ((stacked_negacyclic_ntt, negacyclic_ntt, top),
+                            (stacked_negacyclic_intt, negacyclic_intt, edge)):
+            got = fn(np.stack([hi, low], axis=1), stack)
+            for d, x in enumerate((hi, low)):
+                assert np.array_equal(got[:, d], _per_row(ref, x, moduli, n))
         if n <= 256:
             for i, q in enumerate(moduli):
                 tables = get_tables(q, n)

@@ -1,10 +1,9 @@
-"""Bit-exactness suite for the stacked (digit-batched) Shoup NTT kernel.
+"""Bit-exactness suite for the stacked (digit-batched) NTT kernel.
 
 The ``(P, G, N)`` stacked transforms must agree bit-for-bit with running
 the per-prime radix-2 transforms row by row, for every digit-lane
 count, for 2-D matrix inputs, and regardless of which lazy
-representatives (< 2**32) the ModUp stage feeds in. The lazy output
-must be congruent to the canonical transform.
+representatives (< 2**32) the ModUp stage feeds in.
 """
 
 import numpy as np
@@ -117,20 +116,6 @@ class TestLazyModes:
                 stacked_negacyclic_ntt(shifted, stack),
                 stacked_negacyclic_ntt(data, stack),
             ), f"seed {seed}"
-
-    def test_lazy_output_is_congruent(self):
-        """lazy=True returns values < 2q that canonicalize to the
-        non-lazy output."""
-        n, g = 128, 3
-        moduli = tuple(find_ntt_primes(3, 28, n))
-        stack = get_shoup_stack(moduli, n)
-        q_col = np.array(moduli, dtype=np.uint64)[:, None, None]
-        rng = np.random.default_rng(11)
-        data = rand_batch(moduli, g, n, rng)
-        canonical = stacked_negacyclic_ntt(data, stack)
-        lazy = stacked_negacyclic_ntt(data, stack, lazy=True)
-        assert (lazy < 2 * q_col).all()
-        assert np.array_equal(np.minimum(lazy, lazy - q_col), canonical)
 
 
 class TestTableCache:

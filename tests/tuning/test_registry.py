@@ -75,7 +75,7 @@ def test_every_declared_module_contributes_knobs():
     layers = {spec.layer for spec in all_knobs().values()}
     # One knob-owning layer per architectural tier of the stack.
     assert {"ckks", "workloads", "core", "ntt", "gpusim", "trace",
-            "serving", "backend"} <= layers
+            "serving"} <= layers
 
 
 def test_all_knobs_have_docs_and_valid_defaults():
@@ -126,16 +126,6 @@ def test_overriding_default_validates():
     with pytest.raises(KnobDomainError):
         with overriding_default("boot.fuse", 99):
             pass
-
-
-def test_backend_knob_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert knob_default("backend") == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "auto")
-    assert knob_default("backend") == "auto"
-    # Garbage env degrades to numpy instead of poisoning the registry.
-    monkeypatch.setenv("REPRO_BACKEND", "quantum")
-    assert knob_default("backend") == "numpy"
 
 
 def test_render_registry_lists_every_knob():
