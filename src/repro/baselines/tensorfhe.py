@@ -21,11 +21,12 @@ import numpy as np
 from ..ckks.params import CkksParams
 from ..gpusim import (
     A100_SXM_40G,
+    DagKernel,
     ExecutionResult,
     GpuSpec,
     KernelSpec,
+    run_dag,
     run_serial,
-    run_streams,
 )
 from ..core import costs
 from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
@@ -154,15 +155,28 @@ class TensorFheNtt:
 
     def simulate(self, batch: int = 1024, *, streams: int = 1,
                  ) -> ExecutionResult:
-        plan = self.kernel_plan(batch)
-        if streams <= 1:
-            return run_serial(plan, self.device)
-        # GEMM launches spread across streams (they serialize anyway on
-        # full-device grids — the §III-A observation).
-        lanes: List[List[KernelSpec]] = [[] for _ in range(streams)]
-        for i, k in enumerate(plan):
-            lanes[i % streams].append(k)
-        return run_streams(lanes, self.device)
+        """Price the plan with its launches dealt round-robin into
+        ``streams`` CUDA streams.
+
+        Each launch waits for the previous launch of its stream and for
+        every launch of the stage before it (whose output it reads), so
+        stages run in order; GEMMs of one stage may overlap, but on
+        full-device grids they serialize anyway — the §III-A observation.
+        """
+        if not isinstance(streams, int) or streams < 1:
+            raise ValueError(
+                f"streams must be a positive int, got {streams!r}")
+        nodes: List[DagKernel] = []
+        stage, prev_stage, this_stage = None, (), []
+        for i, spec in enumerate(self.kernel_plan(batch)):
+            if spec.tags["stage"] != stage:
+                stage = spec.tags["stage"]
+                prev_stage, this_stage = tuple(this_stage), []
+            same_stream = (i - streams,) if i >= streams else ()
+            nodes.append(DagKernel(
+                spec, tuple(sorted(set(prev_stage + same_stream)))))
+            this_stage.append(i)
+        return run_dag(nodes, self.device)
 
     def throughput_kops(self, batch: int = 1024) -> float:
         return batch / self.simulate(batch).elapsed_us * 1e3

@@ -1,8 +1,9 @@
 """Analytic GPU timing simulator — the paper's A100 testbed, substituted.
 
 Lowered kernel plans (:class:`KernelSpec`) are priced by a roofline+latency
-model (:func:`simulate_kernel`), scheduled over streams
-(:func:`run_streams`), and reported with Nsight-Compute-style metrics
+model (:func:`simulate_kernel`), scheduled as launch graphs under the
+SM-capacity rule (:func:`run_dag`; a serial plan is a chain,
+:func:`run_serial`), and reported with Nsight-Compute-style metrics
 (:mod:`profiler`). See DESIGN.md §1 for why this substitution preserves
 the paper's comparisons.
 """
@@ -46,7 +47,6 @@ from .streams import (
     run_dag,
     run_profiled_dag,
     run_serial,
-    run_streams,
 )
 from .timeline import (
     render_timeline,
@@ -105,7 +105,6 @@ __all__ = [
     "run_profiled_dag",
     "save_fleet_trace",
     "run_serial",
-    "run_streams",
     "save_chrome_trace",
     "spec_cache_key",
     "simulate_kernel",

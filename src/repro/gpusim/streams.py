@@ -1,11 +1,16 @@
-"""Stream-level scheduling of kernel sequences.
+"""Scheduling of kernel launch graphs on the SM array.
 
-Models what the paper observes about CUDA streams (§III-A, §IV-C-2):
-kernels in one stream serialize; kernels in different streams overlap only
-when together they fit in the SM array — the large grids of FHE kernels
-occupy every SM, so multi-stream launches degenerate to serial execution
-("stages 2 and 4, which utilize multiple streams, are executed serially on
-the GPU due to the large number of SMs used").
+Models what the paper observes about CUDA streams (§III-A, §IV-C-2): a
+kernel launches once the kernels it depends on have finished and its grid
+fits in the free SMs. Launches with no dependency between them overlap
+only when together they fit in the SM array — the large grids of FHE
+kernels occupy every SM, so multi-stream launches degenerate to serial
+execution ("stages 2 and 4, which utilize multiple streams, are executed
+serially on the GPU due to the large number of SMs used").
+
+Every plan is priced by one event loop, :func:`run_profiled_dag`: a
+serial plan is a chain DAG (:func:`run_serial`), a multi-stream plan a
+DAG whose edges are its stream order and data dependencies.
 """
 
 from __future__ import annotations
@@ -25,17 +30,16 @@ from .stalls import StallBreakdown
 class TimelineEntry:
     """One executed kernel instance on the device timeline.
 
-    ``index``/``deps`` are populated by :func:`run_dag` (node index in the
-    launch graph and the node indices it waited on); stream-based runs
-    leave them at their defaults.
+    ``index`` is its node in the launch graph, ``deps`` the node indices
+    it waited on and ``stream`` the display lane it was drawn on.
     """
 
     profile: KernelProfile
     stream: int
     start_us: float
     end_us: float
-    index: int = -1
-    deps: Tuple[int, ...] = ()
+    index: int
+    deps: Tuple[int, ...]
 
     @property
     def name(self) -> str:
@@ -76,73 +80,6 @@ class ExecutionResult:
         for e in self.entries:
             groups.setdefault(e.name, []).append(e)
         return groups
-
-
-def run_serial(kernels: Sequence[KernelSpec], device: GpuSpec,
-               ) -> ExecutionResult:
-    """Execute kernels back-to-back in a single stream."""
-    return run_streams([list(kernels)], device)
-
-
-def run_streams(streams: Sequence[Sequence[KernelSpec]], device: GpuSpec,
-                ) -> ExecutionResult:
-    """Event-driven scheduling of multiple streams sharing the SM array.
-
-    A kernel starts when its stream's predecessor finished and enough SMs
-    are free (``sm_used = min(blocks, sm_count)``). Grids that span the
-    device therefore serialize even across streams, reproducing the
-    observation in §III-A.
-    """
-    result = ExecutionResult(device=device)
-    profiles = [
-        [profile_kernel(k, device) for k in stream] for stream in streams
-    ]
-    stream_ready = [0.0] * len(streams)
-    next_idx = [0] * len(streams)
-    #: (end_time_us, sm_count) of currently running kernels.
-    running: List[tuple] = []
-    now = 0.0
-
-    def free_sms(at: float) -> int:
-        return device.sm_count - sum(
-            sms for end, sms in running if end > at
-        )
-
-    pending = sum(len(s) for s in streams)
-    while pending:
-        progressed = False
-        for sid, stream in enumerate(profiles):
-            i = next_idx[sid]
-            if i >= len(stream):
-                continue
-            prof = stream[i]
-            sms_needed = prof.occupancy.sm_used
-            # A kernel is runnable once its stream predecessor has finished
-            # (ready times are event points, so the loop below always lands
-            # `now` exactly on them — a stream whose predecessor finishes
-            # mid-step resumes at its true ready time) and its grid fits in
-            # the free SMs.
-            if stream_ready[sid] <= now and free_sms(now) >= sms_needed:
-                end = now + prof.elapsed_us
-                running.append((end, sms_needed))
-                result.entries.append(
-                    TimelineEntry(
-                        profile=prof, stream=sid, start_us=now, end_us=end
-                    )
-                )
-                stream_ready[sid] = end
-                next_idx[sid] += 1
-                pending -= 1
-                progressed = True
-        if pending and not progressed:
-            # Advance time to the next completion or stream-ready event.
-            horizon = [end for end, _ in running if end > now]
-            horizon += [t for t in stream_ready if t > now]
-            if not horizon:
-                raise RuntimeError("scheduler deadlock (no runnable kernel)")
-            now = min(horizon)
-            running = [(end, sms) for end, sms in running if end > now]
-    return result
 
 
 def profile_cache_stats() -> Dict[str, int]:
@@ -201,11 +138,11 @@ class DagKernel:
 def run_dag(nodes: Sequence[DagKernel], device: GpuSpec) -> ExecutionResult:
     """Event-driven scheduling of a kernel DAG sharing the SM array.
 
-    The overlap rule is the same as :func:`run_streams` (§III-A): a node
-    is runnable once every dependency has finished *and* its grid fits in
-    the free SMs — full-device grids therefore serialize even though the
-    graph would allow them to overlap. Runnable nodes launch in index
-    order (the recording's program order), so results are deterministic.
+    The overlap rule is §III-A's: a node is runnable once every
+    dependency has finished *and* its grid fits in the free SMs —
+    full-device grids therefore serialize even though the graph would
+    allow them to overlap. Runnable nodes launch in index order (the
+    recording's program order), so results are deterministic.
 
     Lanes in the returned timeline are not caller-chosen streams but a
     greedy assignment (each kernel takes the lowest lane idle at its start
@@ -225,6 +162,14 @@ def run_dag(nodes: Sequence[DagKernel], device: GpuSpec) -> ExecutionResult:
     profiles = [profile_kernel(node.spec, device) for node in nodes]
     _PROFILE_STATS["runs"] += 1
     return run_profiled_dag(profiles, [node.deps for node in nodes], device)
+
+
+def run_serial(kernels: Sequence[KernelSpec], device: GpuSpec,
+               ) -> ExecutionResult:
+    """Execute kernels back-to-back: a chain DAG where node ``i`` waits
+    on node ``i - 1``."""
+    return run_dag([DagKernel(k, (i - 1,) if i else ())
+                    for i, k in enumerate(kernels)], device)
 
 
 def run_profiled_dag(profiles: Sequence[KernelProfile],

@@ -66,12 +66,11 @@ def to_chrome_trace(result: ExecutionResult) -> dict:
     Perfetto) JSON object — one complete event per kernel, one "thread"
     per stream, with the binding resource and occupancy as arguments.
 
-    Entries produced by :func:`~repro.gpusim.streams.run_dag` carry their
-    launch-graph dependencies; those become flow events (arrows between
-    slices in Perfetto), so the pictured overlap can be read against the
-    data hazards that constrain it."""
+    Entries carry their launch-graph dependencies; those become flow
+    events (arrows between slices in Perfetto), so the pictured overlap
+    can be read against the data hazards that constrain it."""
     events = []
-    by_index = {e.index: e for e in result.entries if e.index >= 0}
+    by_index = {e.index: e for e in result.entries}
     flow_id = 0
     for e in result.entries:
         prof = e.profile
@@ -100,9 +99,7 @@ def to_chrome_trace(result: ExecutionResult) -> dict:
             "args": args,
         })
         for dep in e.deps:
-            src = by_index.get(dep)
-            if src is None:
-                continue
+            src = by_index[dep]
             flow_id += 1
             events.append({
                 "name": "dep", "cat": "dep", "ph": "s", "id": flow_id,

@@ -59,6 +59,34 @@ class TestTensorFheNtt:
         streamed = ntt.simulate(1024, streams=4).elapsed_us
         assert streamed == pytest.approx(serial, rel=0.05)
 
+    # (2**12, 1, 4) has grids small enough that program order alone would
+    # let Stage-4 GEMMs overlap the Stage-3 kernel they read.
+    @pytest.mark.parametrize("n,batch,streams",
+                             [(2**12, 16, 2), (2**16, 1024, 4), (2**12, 1, 4)])
+    def test_multi_stream_keeps_stage_order(self, n, batch, streams):
+        """A stage reads the previous stage's output: no launch may start
+        before every launch of the stage before it has ended."""
+        entries = TensorFheNtt(n).simulate(batch, streams=streams).entries
+        stages = sorted({e.profile.spec.tags["stage"] for e in entries})
+        end_of = {}
+        for e in entries:
+            stage = e.profile.spec.tags["stage"]
+            end_of[stage] = max(end_of.get(stage, 0.0), e.end_us)
+        for e in entries:
+            k = stages.index(e.profile.spec.tags["stage"])
+            if k:
+                assert e.start_us >= end_of[stages[k - 1]], e.name
+
+    def test_streams_never_slower_than_serial(self):
+        ntt = TensorFheNtt(2**12)
+        assert (ntt.simulate(16, streams=2).elapsed_us
+                <= ntt.simulate(16, streams=1).elapsed_us)
+
+    @pytest.mark.parametrize("streams", [0, -3, 1.5, "2", None])
+    def test_rejects_bad_stream_count(self, streams):
+        with pytest.raises(ValueError, match="streams must be a positive int"):
+            TensorFheNtt(2**12).simulate(16, streams=streams)
+
 
 class TestTensorFheOps:
     def test_hmult_slower_than_warpdrive(self):

@@ -1,15 +1,16 @@
-"""Tests for stream scheduling, timelines and the profiler."""
+"""Tests for SM-capacity scheduling, timelines and the profiler."""
 
 import pytest
 
 from repro.gpusim import (
     A100_PCIE_80G,
+    DagKernel,
     KernelSpec,
     StallReason,
     aggregate,
     render_timeline,
+    run_dag,
     run_serial,
-    run_streams,
     simulate_kernel,
     summarize,
 )
@@ -42,23 +43,23 @@ class TestSerial:
 
 class TestMultiStream:
     def test_large_grids_serialize_across_streams(self):
-        """§III-A: full-device grids in different streams cannot overlap."""
-        s0 = [kernel("a", blocks=2048)]
-        s1 = [kernel("b", blocks=2048)]
-        result = run_streams([s0, s1], DEV)
+        """§III-A: independent full-device grids cannot overlap."""
+        nodes = [DagKernel(kernel("a", blocks=2048)),
+                 DagKernel(kernel("b", blocks=2048))]
+        result = run_dag(nodes, DEV)
         entries = sorted(result.entries, key=lambda e: e.start_us)
         assert entries[1].start_us >= entries[0].end_us - 1e-9
 
     def test_small_grids_overlap(self):
-        s0 = [kernel("a", blocks=40)]
-        s1 = [kernel("b", blocks=40)]
-        result = run_streams([s0, s1], DEV)
+        nodes = [DagKernel(kernel("a", blocks=40)),
+                 DagKernel(kernel("b", blocks=40))]
+        result = run_dag(nodes, DEV)
         entries = sorted(result.entries, key=lambda e: e.start_us)
         assert entries[0].start_us == entries[1].start_us
 
     def test_overlap_bounded_by_sm_capacity(self):
-        streams = [[kernel(f"k{i}", blocks=60)] for i in range(3)]
-        result = run_streams(streams, DEV)
+        nodes = [DagKernel(kernel(f"k{i}", blocks=60)) for i in range(3)]
+        result = run_dag(nodes, DEV)
         # 3 x 60 SMs > 108: at most one other kernel can overlap.
         starts = sorted(e.start_us for e in result.entries)
         assert starts[2] > starts[0]
@@ -71,10 +72,9 @@ class TestMultiStream:
 
 
 class TestStreamReadySemantics:
-    """Regression for the scheduler dead-code fix: a stream whose
-    predecessor finishes while another stream's kernel is still mid-flight
-    must resume at its true ready time (the predecessor's end), not at the
-    other stream's completion."""
+    """A node whose dependency finishes while an independent kernel is
+    still mid-flight must launch at its true ready time (the
+    dependency's end), not at the other kernel's completion."""
 
     @staticmethod
     def sized_kernel(name, blocks, ops):
@@ -82,13 +82,14 @@ class TestStreamReadySemantics:
                           int32_ops=ops, gmem_read_bytes=1e6)
 
     def test_successor_starts_at_predecessor_end_mid_overlap(self):
-        # Two small grids co-reside (40 + 40 <= 108 SMs). Stream 0 runs two
-        # short kernels back-to-back while stream 1's long kernel is still
-        # executing: the second short kernel's start must equal the first's
-        # end, well before the long kernel finishes.
+        # Two small grids co-reside (40 + 40 <= 108 SMs). A chain of two
+        # short kernels runs back-to-back while an independent long kernel
+        # is still executing: the second short kernel's start must equal
+        # the first's end, well before the long kernel finishes.
         short = self.sized_kernel("short", 40, 1e6)
         long_k = self.sized_kernel("long", 40, 5e8)
-        result = run_streams([[short, short], [long_k]], DEV)
+        result = run_dag([DagKernel(short), DagKernel(short, deps=(0,)),
+                          DagKernel(long_k)], DEV)
         by_name = result.by_name()
         s1, s2 = sorted(by_name["short"], key=lambda e: e.start_us)
         (lk,) = by_name["long"]
@@ -98,28 +99,30 @@ class TestStreamReadySemantics:
         assert s2.end_us < lk.end_us  # overlap really happened mid-flight
 
     def test_ready_stream_waits_only_for_sms(self):
-        # Stream 0's first kernel (40 SMs) overlaps stream 1's long kernel
-        # (60 SMs). When stream 0 becomes ready mid-flight its follow-up
-        # needs 90 SMs but only 48 are free — it must start exactly when
-        # the long kernel releases its SMs, not sooner or later.
+        # A small kernel (40 SMs) overlaps an independent long kernel
+        # (60 SMs). When the small kernel's successor becomes ready
+        # mid-flight it needs 90 SMs but only 48 are free — it must start
+        # exactly when the long kernel releases its SMs, not sooner or
+        # later.
         small = self.sized_kernel("small", 40, 1e6)
         long_k = self.sized_kernel("long", 60, 5e8)
         follow = self.sized_kernel("follow", 90, 1e6)
-        result = run_streams([[small, follow], [long_k]], DEV)
+        result = run_dag([DagKernel(small), DagKernel(follow, deps=(0,)),
+                          DagKernel(long_k)], DEV)
         by_name = result.by_name()
         (lk,) = by_name["long"]
         (fk,) = by_name["follow"]
         (sk,) = by_name["small"]
         assert sk.start_us == 0.0 and lk.start_us == 0.0
-        assert sk.end_us < lk.end_us  # stream 0 ready mid-flight
+        assert sk.end_us < lk.end_us  # successor ready mid-flight
         assert fk.start_us == pytest.approx(lk.end_us)
 
 
 class TestTimelineRendering:
     def test_render_contains_streams_and_total(self):
-        result = run_streams(
-            [[kernel("alpha")], [kernel("beta", blocks=40)]], DEV
-        )
+        # Overlapping grids (60 + 40 <= 108 SMs) take two display lanes.
+        result = run_dag([DagKernel(kernel("alpha", blocks=60)),
+                          DagKernel(kernel("beta", blocks=40))], DEV)
         art = render_timeline(result, title="demo")
         assert "demo" in art
         assert "total:" in art
@@ -185,9 +188,9 @@ class TestChromeTrace:
 
         from repro.gpusim import to_chrome_trace
 
-        result = run_streams(
-            [[kernel("alpha")], [kernel("beta", blocks=40)]], DEV
-        )
+        result = run_dag([DagKernel(kernel("alpha")),
+                          DagKernel(kernel("beta", blocks=40), deps=(0,))],
+                         DEV)
         trace = to_chrome_trace(result)
         assert "traceEvents" in trace
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
@@ -195,6 +198,9 @@ class TestChromeTrace:
         for e in events:
             assert e["dur"] > 0
             assert "bound_by" in e["args"]
+        # The dependency is drawn as one flow arrow, alpha's end -> beta.
+        flows = [e for e in trace["traceEvents"] if e.get("cat") == "dep"]
+        assert [e["ph"] for e in flows] == ["s", "f"]
         json.dumps(trace)  # serializable
 
     def test_save_to_file(self, tmp_path):
