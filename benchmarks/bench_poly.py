@@ -18,8 +18,11 @@ A second section (``"kernels"``) times the hot kernels of
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_poly.py            # full run
-    PYTHONPATH=src python benchmarks/bench_poly.py --reps 1   # CI smoke
+    PYTHONPATH=src:. python benchmarks/bench_poly.py            # full run
+    PYTHONPATH=src:. python benchmarks/bench_poly.py --reps 1   # CI smoke
+
+(the repository root on the path: the loop path's per-prime reducers and
+radix-2 NTT are test oracles, imported from ``tests.oracles``).
 
 Results land in ``BENCH_poly.json`` (see ``--out``); later PRs regress
 against the committed numbers.
@@ -43,16 +46,15 @@ import numpy as np  # noqa: E402
 from repro.ckks import CkksContext, ParameterSets
 from repro.ckks.keyswitch import keyswitch
 from repro.ckks.ks_common import wide_dot
-from repro.ckks.poly import RnsPoly, get_reducer
+from repro.ckks.poly import RnsPoly
 from repro.ntt import (
     get_shoup_stack,
     get_tables,
-    negacyclic_intt,
-    negacyclic_ntt,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
 from repro.numtheory import BatchBarrettReducer, find_ntt_primes
+from tests.oracles import get_reducer, negacyclic_intt, negacyclic_ntt
 
 # Small configs lead: they are where the batched path once *lost* to the
 # loop path (masked-ufunc overhead dominated at tiny matrices) — the

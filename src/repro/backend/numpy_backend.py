@@ -7,9 +7,10 @@ rests on two choices:
   assembly was ~17 ufunc passes with intermediate allocations; numpy's
   vectorized integer ``%`` (libdivide-style SIMD division since numpy
   1.26) computes the identical canonical residue in a *single* pass,
-  4-5x faster at every measured size. The 64/32 Barrett split survives
-  in :class:`repro.numtheory.barrett.BarrettReducer` as the scalar/GPU
-  reference discipline and in the property tests that pin ``%`` to it.
+  4-5x faster at every measured size. These kernels are the only
+  vector reduction in the library; the 64/32 Barrett split survives as
+  the scalar/GPU reference discipline in ``tests/oracles/barrett.py``
+  and the property tests that pin ``%`` to it.
 * **Branchless min-trick add/sub.** ``np.subtract(..., where=mask)``
   allocates a bool mask and runs a slow masked inner loop. For
   ``s = a + b < 2q < 2**33`` the wrap-around trick ``min(s, s - q)``

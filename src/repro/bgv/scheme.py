@@ -21,8 +21,8 @@ from ..ckks.keyswitch import keyswitch
 from ..ckks.ks_common import eval_automorphism_table, mod_down_eval
 from ..ckks.poly import EVAL, RnsPoly
 from ..ckks.sampling import sample_error, sample_ternary
-from ..ntt import negacyclic_intt, negacyclic_ntt
-from ..ntt.tables import get_tables
+from ..ntt import (get_shoup_stack, stacked_negacyclic_intt,
+                   stacked_negacyclic_ntt)
 from ..numtheory import CRTReconstructor, modinv
 from ..numtheory.rns import RNSBasis
 from .params import BgvParams
@@ -57,7 +57,7 @@ class BgvContext:
         self.q_moduli = tuple(chain.moduli)
         self.p_moduli = tuple(chain.special_primes)
         self._keygen = KeyGenerator(params, self.rng, error_scale=self.t)
-        self._tables_t = get_tables(self.t, params.n)
+        self._stack_t = get_shoup_stack((self.t,), params.n)
 
     # -- keys -------------------------------------------------------------------
 
@@ -78,13 +78,14 @@ class BgvContext:
             raise ValueError(f"at most {self.params.n} slots")
         slots = np.zeros(self.params.n, dtype=np.uint64)
         slots[: len(values)] = np.mod(values, self.t).astype(np.uint64)
-        return negacyclic_intt(slots, self._tables_t)
+        return stacked_negacyclic_intt(slots[None], self._stack_t)[0]
 
     def decode(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients mod t back to integer slots."""
-        return negacyclic_ntt(
-            coeffs.astype(np.uint64) % np.uint64(self.t), self._tables_t
-        ).astype(np.int64)
+        return stacked_negacyclic_ntt(
+            coeffs.astype(np.uint64)[None] % np.uint64(self.t),
+            self._stack_t,
+        )[0].astype(np.int64)
 
     # -- encryption -----------------------------------------------------------------
 

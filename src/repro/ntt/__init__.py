@@ -1,7 +1,5 @@
-"""NTT algorithm suite: the library's transforms and the paper's planner.
+"""NTT algorithm suite: the library's transform and the paper's planner.
 
-- :mod:`.radix2` — iterative Cooley-Tukey transform of one prime's rows
-  (the per-row reference for the stacked kernel);
 - :mod:`.stacked` — the batched RNS engine: one transform over a whole
   ``(num_primes, [digits,] N)`` residue tensor, the only batched NTT the
   library runs (the single-level 4-step of Eq. 2 as exact float64 GEMMs);
@@ -15,8 +13,9 @@
 The paper's NTT variants differ only in how the GPU runs the transform;
 functionally every one of them is the stacked kernel.
 
-The O(N^2) ground-truth transforms that every engine is tested against
-are test oracles (``tests/oracles``), not library code.
+The O(N^2) ground-truth transforms and the per-row radix-2 Montgomery
+transform that the stacked kernel is tested against are test oracles
+(``tests/oracles``), not library code.
 """
 
 from .bitsplit import bitsplit_matmul_mod
@@ -27,7 +26,6 @@ from .decompose import (
     build_plan,
     table_iv_rows,
 )
-from .radix2 import cyclic_ntt, negacyclic_intt, negacyclic_ntt
 from .stacked import (
     ShoupStack,
     get_shoup_stack,
@@ -51,11 +49,8 @@ __all__ = [
     "TABLE_CACHE_SIZE",
     "bitsplit_matmul_mod",
     "build_plan",
-    "cyclic_ntt",
     "get_shoup_stack",
     "get_tables",
-    "negacyclic_intt",
-    "negacyclic_ntt",
     "shoup_stack_cache_stats",
     "stacked_negacyclic_intt",
     "stacked_negacyclic_ntt",

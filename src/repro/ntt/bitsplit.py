@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..analysis.annotations import bounded
-from ..numtheory import BarrettReducer
+from ..numtheory import BatchBarrettReducer
 
 LIMB_BITS = 8
 #: A 32-bit word as four uint8 limbs.
@@ -51,7 +51,7 @@ def split_limbs(values: np.ndarray, num_limbs: int = NUM_LIMBS) -> List[np.ndarr
 
 @bounded(in_q=1, out_q=1, params={"x": {"q": 1}, "w": {"q": 1}})
 def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray,
-                        reducer: BarrettReducer) -> np.ndarray:
+                        modulus: int) -> np.ndarray:
     """``(x @ w) mod q`` through the uint8-limb tensor-core dataflow.
 
     Parameters
@@ -60,8 +60,8 @@ def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray,
         ``(..., m, k)`` matrix of residues below ``q < 2**31``.
     w:
         ``(k, n)`` twiddle matrix of residues below ``q``.
-    reducer:
-        Barrett reducer for the target modulus.
+    modulus:
+        The target modulus ``q``.
 
     Notes
     -----
@@ -82,16 +82,17 @@ def bitsplit_matmul_mod(x: np.ndarray, w: np.ndarray,
         )
     partials = _schoolbook_partials(split_limbs(x), split_limbs(w))
 
-    two_pow = [np.uint64(pow(2, LIMB_BITS * s, reducer.modulus))
+    reducer = BatchBarrettReducer((modulus,))
+    two_pow = [np.uint64(pow(2, LIMB_BITS * s, modulus))
                for s in range(2 * NUM_LIMBS - 1)]
     result = None
     for shift, acc in partials:
         # The int32 bound on ``acc`` is proven inside the partial
         # builder (B-ACC at each GEMM); the list of (shift, acc) tuples
         # itself is outside the interval domain.
-        reduced = reducer.reduce_vec(acc)  # fhelint: allow-B-RED
-        term = reducer.mul_vec(reduced, two_pow[shift])
-        result = term if result is None else reducer.add_vec(result, term)
+        reduced = reducer.reduce_mat(acc)  # fhelint: allow-B-RED
+        term = reducer.mul_mat(reduced, two_pow[shift])
+        result = term if result is None else reducer.add_mat(result, term)
     return result
 
 

@@ -12,10 +12,9 @@ BLAS GEMMs with the negacyclic twists folded into the
 partial sum below ``2**53``. Each direction's tables are built on first
 read.
 
-Outputs are canonical (``< q``) and bit-identical to running
-:func:`~repro.ntt.radix2.negacyclic_ntt` / ``negacyclic_intt`` row by row
-and to the O(N^2) reference transforms of ``tests/oracles``
-(regression-tested).
+Outputs are canonical (``< q``) and bit-identical to the per-row radix-2
+Montgomery transform and the O(N^2) reference transforms of
+``tests/oracles`` (regression-tested).
 
 Lazy inputs: the forward transform accepts any representatives below
 ``2**32``, which lets the single-prime-digit ModUp broadcast skip its

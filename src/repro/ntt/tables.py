@@ -1,10 +1,11 @@
 """Precomputed twiddle-factor tables for (negacyclic) NTTs.
 
-One :class:`NttTables` instance caches everything the NTT engines need for a
-fixed ``(modulus, N)`` pair: the primitive roots, their power tables, the
-same tables in the Montgomery domain (the paper stores twiddles in
-Montgomery form so the domain conversion is free, §IV-A-4), and the
-``N^{-1}`` scaling constants for the inverse transform.
+One :class:`NttTables` instance caches what the NTT engines need for a
+fixed ``(modulus, N)`` pair: the primitive roots, the ``psi`` power
+tables, and the ``N^{-1}`` scaling constant for the inverse transform.
+(The paper stores twiddles in Montgomery form so the domain conversion is
+free, §IV-A-4; the simulator prices that, and the Montgomery-domain
+radix-2 test reference builds its own tables from these roots.)
 
 The WarpDrive initialization phase (§IV-D-1) precomputes these tables for
 every prime in the modulus chain and ships them to the GPU once; the
@@ -18,12 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..numtheory import (
-    MontgomeryReducer,
-    is_power_of_two,
-    modinv,
-    root_of_unity,
-)
+from ..numtheory import is_power_of_two, modinv, root_of_unity
 
 
 class NttTables:
@@ -37,13 +33,8 @@ class NttTables:
     omega, omega_inv:
         ``psi**2`` — a primitive ``N``-th root driving the cyclic core.
     psi_pows, psi_inv_pows:
-        ``psi**j`` / ``psi**-j`` for ``j < N`` (uint64 arrays, plain domain).
-    omega_pows, omega_inv_pows:
-        ``omega**i`` for ``i < N``.
-    *_mont variants:
-        The same tables pre-multiplied by the Montgomery radix ``R`` so a
-        single REDC yields a plain-domain product.
-    n_inv, n_inv_mont:
+        ``psi**j`` / ``psi**-j`` for ``j < N`` (uint64 arrays).
+    n_inv:
         ``N^{-1} mod q`` for the inverse transform.
     """
 
@@ -57,7 +48,6 @@ class NttTables:
             )
         self.modulus = modulus
         self.n = n
-        self.mont = MontgomeryReducer(modulus)
 
         self.psi = root_of_unity(2 * n, modulus)
         self.psi_inv = modinv(self.psi, modulus)
@@ -67,16 +57,6 @@ class NttTables:
 
         self.psi_pows = _power_table(self.psi, n, modulus)
         self.psi_inv_pows = _power_table(self.psi_inv, n, modulus)
-        self.omega_pows = _power_table(self.omega, n, modulus)
-        self.omega_inv_pows = _power_table(self.omega_inv, n, modulus)
-
-        self.psi_pows_mont = self.mont.to_montgomery_vec(self.psi_pows)
-        self.psi_inv_pows_mont = self.mont.to_montgomery_vec(self.psi_inv_pows)
-        self.omega_pows_mont = self.mont.to_montgomery_vec(self.omega_pows)
-        self.omega_inv_pows_mont = self.mont.to_montgomery_vec(
-            self.omega_inv_pows
-        )
-        self.n_inv_mont = self.mont.to_montgomery(self.n_inv)
 
     def omega_for_size(self, size: int, *, inverse: bool = False) -> int:
         """Primitive ``size``-th root for an inner NTT of ``size`` points.
@@ -89,8 +69,8 @@ class NttTables:
         return pow(base, self.n // size, self.modulus)
 
     def dft_matrix(self, size: int, *, inverse: bool = False) -> np.ndarray:
-        """The ``size x size`` (I)NTT matrix ``W[k, j] = w^(jk)`` (plain
-        domain, no ``1/size`` factor on the inverse)."""
+        """The ``size x size`` (I)NTT matrix ``W[k, j] = w^(jk)`` (no
+        ``1/size`` factor on the inverse)."""
         w = self.omega_for_size(size, inverse=inverse)
         idx = np.arange(size, dtype=np.uint64)
         exps = (np.outer(idx, idx) % size).astype(np.uint64)
@@ -124,12 +104,12 @@ def _power_table(base: int, count: int, modulus: int) -> np.ndarray:
 
 
 #: Unified sizing for every precompute cache in the library (twiddle
-#: tables, Barrett reducers, twiddle stacks, RNS contexts). The caches
-#: used to disagree — 256 tables vs 512 reducers — so a deep modulus
-#: chain plus bootstrapping could evict twiddle tables mid-operation and
-#: silently recompute them while the matching reducer stayed cached. One
-#: constant, sized for the deepest chain anyone simulates (L+K ≤ ~64
-#: primes x a handful of ring degrees), keeps the caches in lockstep.
+#: tables, Shoup stacks, RNS contexts). The caches used to disagree —
+#: 256 tables vs 512 reducers — so a deep modulus chain plus
+#: bootstrapping could evict twiddle tables mid-operation and silently
+#: recompute them while a matching cache stayed warm. One constant,
+#: sized for the deepest chain anyone simulates (L+K ≤ ~64 primes x a
+#: handful of ring degrees), keeps the caches in lockstep.
 TABLE_CACHE_SIZE = 1024
 
 

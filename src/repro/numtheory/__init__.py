@@ -1,6 +1,11 @@
-"""Number-theory substrate: modular arithmetic, primes, RNS, CRT."""
+"""Number-theory substrate: modular arithmetic, primes, RNS, CRT.
 
-from .barrett import BarrettReducer, BatchBarrettReducer
+Vector reduction has one path: :class:`BatchBarrettReducer` runs the
+backend kernels over a whole residue matrix. The per-prime Barrett and
+Montgomery reducers are test references (``tests/oracles``).
+"""
+
+from .barrett import BatchBarrettReducer
 from .crt import CRTReconstructor
 from .modmath import (
     bit_reverse,
@@ -12,7 +17,6 @@ from .modmath import (
     primitive_root,
     root_of_unity,
 )
-from .montgomery import MontgomeryReducer
 from .primes import (
     MAX_MODULUS_BITS,
     PrimeChain,
@@ -29,11 +33,9 @@ from .rns import (
 )
 
 __all__ = [
-    "BarrettReducer",
     "BatchBarrettReducer",
     "CRTReconstructor",
     "MAX_MODULUS_BITS",
-    "MontgomeryReducer",
     "PrimeChain",
     "RNSBasis",
     "bit_reverse",

@@ -2,8 +2,8 @@
 
 These routines back the prime generation, twiddle-table construction and the
 RNS machinery. Everything here is exact integer math on Python ints; the
-vectorized hot paths live in :mod:`repro.numtheory.montgomery` and
-:mod:`repro.numtheory.barrett`.
+vectorized hot paths are the backend kernels (:mod:`repro.backend`),
+reached row-wise through :mod:`repro.numtheory.barrett`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 WarpDrive uses a 32-bit word size (paper §V-A): every RNS prime fits in a
 machine word so CUDA cores operate on it natively and tensor cores consume
 it as four uint8 limbs. We additionally keep primes below 2**31 so that
-``a + m*q`` style intermediates in Montgomery reduction never overflow a
-uint64 lane.
+Shoup companions ``w << 32`` and products of two residues never overflow
+a uint64 lane, and the float64 GEMM NTT stays exact
+(:func:`~repro.ntt.stacked.limb_split`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..analysis.annotations import bounded
 from ..backend.numpy_backend import bconv_gemm
-from .barrett import BarrettReducer, BatchBarrettReducer
+from .barrett import BatchBarrettReducer
 from .modmath import modinv
 
 
@@ -65,7 +65,7 @@ def _const_col(values, ndim: int) -> np.ndarray:
 
 
 class RNSBasis:
-    """An ordered co-prime basis with cached per-prime reducers."""
+    """An ordered co-prime basis with its row-wise reducer."""
 
     def __init__(self, moduli: Sequence[int]):
         if not moduli:
@@ -73,7 +73,6 @@ class RNSBasis:
         if len(set(moduli)) != len(moduli):
             raise ValueError("RNS moduli must be distinct")
         self.moduli = list(moduli)
-        self.reducers = [BarrettReducer(q) for q in self.moduli]
         #: Row-wise reducer for whole-matrix passes (batched engine).
         self.batch = BatchBarrettReducer(self.moduli)
         self.product = 1
@@ -402,16 +401,15 @@ def mod_down_delta(x_special: np.ndarray, main: RNSBasis, special: RNSBasis,
         raise ValueError("plaintext modulus must be coprime to the chain")
     ndim = x_special.ndim
     # delta mod t, via an exact extension onto the singleton basis {t}.
-    delta_mod_t = extend_basis(
-        x_special, special, RNSBasis([t]), exact=True
-    )[0]
+    t_basis = RNSBasis([t])
+    delta_mod_t = extend_basis(x_special, special, t_basis, exact=True)
     p_inv_t = modinv(special.product % t, t)
     # centered [delta * P^{-1}]_t as signed int64. Both operands are
-    # below t < 2**31, so the 64/32 Barrett split keeps the product in
-    # uint64 lanes — no object-dtype bigint fallback.
-    correction = BarrettReducer(t).mul_vec(
+    # below t < 2**31, so the product stays in uint64 lanes — no
+    # object-dtype bigint fallback.
+    correction = t_basis.batch.mul_mat(
         delta_mod_t, np.uint64(p_inv_t)
-    ).astype(np.int64)
+    )[0].astype(np.int64)
     correction[correction > t // 2] -= t
 
     p_mod_q_col = _const_col(

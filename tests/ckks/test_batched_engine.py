@@ -5,10 +5,11 @@ import numpy as np
 
 from repro.ckks import all_cache_stats
 from repro.ckks.ks_common import eval_automorphism_table, mod_down_eval
-from repro.ckks.poly import COEFF, EVAL, RnsPoly, get_reducer
-from repro.ntt import TABLE_CACHE_SIZE, get_tables, negacyclic_intt, negacyclic_ntt
+from repro.ckks.poly import COEFF, EVAL, RnsPoly
+from repro.ntt import TABLE_CACHE_SIZE, get_tables
 from repro.numtheory import RNSBasis, find_ntt_primes
-from tests.oracles import apply_automorphism
+from tests.oracles import (apply_automorphism, get_reducer, negacyclic_intt,
+                           negacyclic_ntt)
 
 N = 64
 MODULI = tuple(find_ntt_primes(6, 28, N))

@@ -10,12 +10,12 @@ from repro.gpusim import A100_PCIE_80G, V100
 from repro.ntt import (
     NttTables,
     get_shoup_stack,
-    negacyclic_ntt,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
 from repro.numtheory import find_ntt_prime, find_ntt_primes
-from tests.oracles import reference_negacyclic_intt, reference_negacyclic_ntt
+from tests.oracles import (negacyclic_ntt, reference_negacyclic_intt,
+                           reference_negacyclic_ntt)
 
 N = 256
 Q = find_ntt_prime(28, N)

@@ -15,14 +15,13 @@ from repro.core import WarpDriveNtt
 from repro.ntt import (
     get_shoup_stack,
     get_tables,
-    negacyclic_intt,
-    negacyclic_ntt,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
 from repro.ntt.stacked import limb_split
 from repro.numtheory import find_ntt_prime, find_ntt_primes
-from tests.oracles import reference_negacyclic_intt, reference_negacyclic_ntt
+from tests.oracles import (negacyclic_intt, negacyclic_ntt,
+                           reference_negacyclic_intt, reference_negacyclic_ntt)
 
 NUM_SEEDS = 100
 #: Leaf dataflow of each single-pipe variant -> that variant.

@@ -21,10 +21,10 @@ from repro.ntt import (
     build_plan,
     get_shoup_stack,
     get_tables,
-    negacyclic_ntt,
     stacked_negacyclic_ntt,
 )
 from repro.numtheory import find_ntt_prime
+from tests.oracles import negacyclic_ntt
 
 
 def _executed(n, bits=28, seed=0):

