@@ -16,7 +16,8 @@ from typing import Dict, List
 
 from ..ckks.params import CkksParams
 from ..core import kernels as K
-from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
+from ..core.kernels import (DEFAULT_GEOMETRY, DEFAULT_KERNEL_EFFICIENCY,
+                            GeometryConfig)
 from ..core.ntt_engine import WarpDriveNtt
 from ..gpusim import (
     A100_PCIE_80G,
@@ -25,8 +26,6 @@ from ..gpusim import (
     KernelSpec,
     run_serial,
 )
-
-_EFFICIENCY = 0.5
 
 
 class HundredXOps:
@@ -78,7 +77,7 @@ class HundredXOps:
         for d in range(digits):
             plan.append(K.modup_kernel(
                 f"100x.modup[{d}]", n, alpha, ext, polys=1, geometry=geo,
-                efficiency=_EFFICIENCY, system="100x",
+                efficiency=DEFAULT_KERNEL_EFFICIENCY, system="100x",
             ))
             plan += self.ntt_kernels(f"100x.ntt_digit[{d}]", ext)
             for acc in range(2):
@@ -92,7 +91,7 @@ class HundredXOps:
         for acc in range(2):
             plan.append(K.moddown_kernel(
                 f"100x.moddown{acc}", n, lvl, special, geometry=geo,
-                efficiency=_EFFICIENCY, system="100x",
+                efficiency=DEFAULT_KERNEL_EFFICIENCY, system="100x",
             ))
         for acc in range(2):
             plan += self.ntt_kernels(f"100x.ntt_out{acc}", lvl)

@@ -195,11 +195,9 @@ def simulate_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
     hide_dram = min(1.0, occ.resident_warps_per_sm / device.warps_to_hide_dram)
     hide_smem = min(1.0, occ.resident_warps_per_sm / _WARPS_TO_HIDE_SMEM)
     eff_dram = t_dram / hide_dram if t_dram else 0.0
-    # A handful of dependent round trips per wave cannot be pipelined away.
+    # One dependent DRAM round trip per wave cannot be pipelined away.
     latency_floor = (
-        spec.gmem_round_trips * device.dram_latency_cycles * occ.waves
-        if spec.gmem_bytes
-        else 0.0
+        device.dram_latency_cycles * occ.waves if spec.gmem_bytes else 0.0
     )
     eff_dram = max(eff_dram, latency_floor)
     eff_smem = t_smem / hide_smem if t_smem else 0.0
@@ -240,7 +238,6 @@ def spec_cache_key(spec: KernelSpec) -> tuple:
         s.tensor_macs, s.gmem_read_bytes, s.gmem_write_bytes,
         s.smem_read_bytes, s.smem_write_bytes, s.smem_per_block_bytes,
         s.regs_per_thread, s.barriers, s.coalescing, s.efficiency,
-        s.gmem_round_trips, tuple(sorted(s.stall_hints.items())),
         tuple(sorted(s.tags.items())),
     )
 

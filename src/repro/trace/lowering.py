@@ -431,7 +431,7 @@ class _Lowerer:
                     continue
                 specs.append(K.elementwise_kernel(
                     part, n * rows * b,
-                    ops_per_element=4 * 7 + 2 * 2,
+                    ops_per_element=_EW_COSTS[kind](shape)[0],
                     read_words=4, write_words=3, geometry=geo,
                     stage="TensorProduct",
                 ))
@@ -442,7 +442,7 @@ class _Lowerer:
                     continue
                 specs.append(K.elementwise_kernel(
                     part, n * rows * b,
-                    ops_per_element=drop * (7 + 2),
+                    ops_per_element=_EW_COSTS[kind](shape)[0],
                     read_words=1 + drop, write_words=1, geometry=geo,
                     stage="Rescale",
                 ))
@@ -524,7 +524,8 @@ class _Lowerer:
 
 
 #: (ops_per_element, read_words, write_words) of each element-wise kind,
-#: matching the builders ``_split_specs`` uses for the unfused events.
+#: matching the builders ``_split_specs`` uses for the unfused events
+#: (whose tensor-product and divide ops it reads from here).
 _EW_COSTS = {
     "modadd": lambda s: (costs.MODADD_OPS, 2.0, 1.0),
     "modmul": lambda s: (costs.BARRETT_MULMOD_OPS, 2.0, 1.0),
@@ -559,9 +560,6 @@ def _concat_specs(a: KernelSpec, b: KernelSpec) -> KernelSpec:
     Work, traffic and blocks add (the merged grid carries both);
     per-block resources take the max, throughput derates take the min.
     """
-    hints = dict(b.stall_hints)
-    for k, v in a.stall_hints.items():
-        hints[k] = max(hints.get(k, 0.0), v)
     return replace(
         a,
         blocks=a.blocks + b.blocks,
@@ -576,10 +574,8 @@ def _concat_specs(a: KernelSpec, b: KernelSpec) -> KernelSpec:
                                  b.smem_per_block_bytes),
         regs_per_thread=max(a.regs_per_thread, b.regs_per_thread),
         barriers=max(a.barriers, b.barriers),
-        gmem_round_trips=max(a.gmem_round_trips, b.gmem_round_trips),
         coalescing=min(a.coalescing, b.coalescing),
         efficiency=min(a.efficiency, b.efficiency),
-        stall_hints=hints,
     )
 
 

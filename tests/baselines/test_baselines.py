@@ -12,6 +12,7 @@ from repro.baselines import (
 from repro.ckks import ParameterSets
 from repro.core import OperationScheduler, WarpDriveNtt
 from repro.gpusim import StallReason
+from repro.gpusim.timeline import render_timeline, to_chrome_trace
 
 
 class TestTensorFheNtt:
@@ -76,6 +77,21 @@ class TestTensorFheNtt:
             k = stages.index(e.profile.spec.tags["stage"])
             if k:
                 assert e.start_us >= end_of[stages[k - 1]], e.name
+
+    @pytest.mark.parametrize("streams", [1, 2, 4])
+    def test_entries_carry_their_cuda_stream(self, streams):
+        """Launches are dealt round-robin, and each timeline entry keeps
+        the stream it was dealt to: the render draws one row per stream
+        and the Chrome export one thread per stream."""
+        result = TensorFheNtt(2**16).simulate(1024, streams=streams)
+        assert [e.stream for e in result.entries] == \
+            [e.index % streams for e in result.entries]
+        rows = [line for line in render_timeline(result).splitlines()
+                if line.startswith("s")]
+        assert len(rows) == streams
+        threads = [ev for ev in to_chrome_trace(result)["traceEvents"]
+                   if ev.get("name") == "thread_name"]
+        assert len(threads) == streams
 
     def test_streams_never_slower_than_serial(self):
         ntt = TensorFheNtt(2**12)

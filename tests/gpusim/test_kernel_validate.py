@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.gpusim import A100_PCIE_80G, KernelSpec, simulate_kernel
-from repro.gpusim.stalls import StallReason
 
 
 def make_kernel(**kwargs):
@@ -40,30 +39,6 @@ class TestValidate:
     def test_efficiency_range(self, value):
         with pytest.raises(ValueError, match="efficiency"):
             make_kernel(efficiency=value)
-
-    def test_unknown_stall_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown stall pipe"):
-            make_kernel(stall_hints={"warp drift": 0.5})
-
-    def test_negative_stall_fraction_rejected(self):
-        name = StallReason.LG_THROTTLE.value
-        with pytest.raises(ValueError, match="must be >= 0"):
-            make_kernel(stall_hints={name: -0.1})
-
-    def test_stall_fractions_must_sum_below_one(self):
-        hints = {
-            StallReason.LG_THROTTLE.value: 0.7,
-            StallReason.LONG_SCOREBOARD.value: 0.6,
-        }
-        with pytest.raises(ValueError, match="sum to <= 1"):
-            make_kernel(stall_hints=hints)
-
-    def test_valid_stall_hints_accepted(self):
-        spec = make_kernel(stall_hints={
-            StallReason.LG_THROTTLE.value: 0.6,
-            StallReason.LONG_SCOREBOARD.value: 0.3,
-        })
-        assert spec.validate() is spec
 
     def test_replace_revalidates(self):
         spec = make_kernel()

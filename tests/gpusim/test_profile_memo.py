@@ -31,9 +31,6 @@ BASE = KernelSpec(
     tensor_macs=2e6, gmem_read_bytes=3e5, gmem_write_bytes=2e5,
     smem_read_bytes=1e5, smem_write_bytes=5e4, smem_per_block_bytes=4096,
     regs_per_thread=48, barriers=2, coalescing=0.5, efficiency=0.8,
-    gmem_round_trips=3,
-    stall_hints={StallReason.LG_THROTTLE.value: 0.2,
-                 StallReason.WAIT.value: 0.1},
     tags={"stage": "GEMM", "kind": "ntt"},
 )
 
@@ -51,15 +48,6 @@ def perturbed_specs():
         else:
             new = value * 0.5
         yield f.name, dataclasses.replace(BASE, **{f.name: new})
-    spare = StallReason.BARRIER.value
-    for name, fraction in BASE.stall_hints.items():
-        rest = {k: v for k, v in BASE.stall_hints.items() if k != name}
-        yield (f"stall_hints[{name}] value",
-               dataclasses.replace(BASE, stall_hints={**rest,
-                                                      name: fraction / 2}))
-        yield (f"stall_hints[{name}] key",
-               dataclasses.replace(BASE, stall_hints={**rest,
-                                                      spare: fraction}))
     for name, tag in BASE.tags.items():
         rest = {k: v for k, v in BASE.tags.items() if k != name}
         yield (f"tags[{name}] value",
