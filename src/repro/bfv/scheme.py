@@ -17,58 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..ckks.keys import KeyGenerator, KeySet
+from ..ckks.keys import KeySet
 from ..ckks.keyswitch import keyswitch
 from ..ckks.poly import COEFF, RnsPoly
-from ..ckks.sampling import sample_error, sample_ternary
-from ..ntt import (get_shoup_stack, stacked_negacyclic_intt,
-                   stacked_negacyclic_ntt)
-from ..numtheory import CRTReconstructor, find_ntt_prime, modinv
+from ..intslot import IntSlotCiphertext, IntSlotContext, IntSlotParams
+from ..numtheory import find_ntt_prime, modinv
 from ..numtheory.rns import RNSBasis, extend_basis_signed
 
 
 @dataclass(frozen=True)
-class BfvParams:
+class BfvParams(IntSlotParams):
     """Static parameters of one BFV instantiation."""
 
-    n: int
     max_level: int = 3  # chain length knob (no rescaling in BFV)
-    num_special: int = 2
-    dnum: int = 2
-    plain_bits: int = 17
     modulus_bits: int = 26
-    base_bits: int = 31
-    special_bits: int = 31
-    error_std: float = 3.2
-    secret_hamming_weight: int = 0
-    name: str = ""
-
-    def __post_init__(self):
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ValueError("ring degree must be a power of two >= 8")
-        if self.max_level < 1:
-            raise ValueError("need at least one extra prime in the chain")
-
-    @property
-    def plain_modulus(self) -> int:
-        return _plain_prime(self.plain_bits, self.n)
-
-    @property
-    def num_primes(self) -> int:
-        return self.max_level + 1
-
-    def chain(self):
-        from ..bgv.params import _chain_for
-
-        return _chain_for(
-            self.n, self.max_level, self.num_special, self.base_bits,
-            self.modulus_bits, self.special_bits,
-        )
 
     @classmethod
     def toy(cls) -> "BfvParams":
@@ -76,39 +42,36 @@ class BfvParams:
                    plain_bits=13, modulus_bits=26, name="bfv-toy")
 
 
-@lru_cache(maxsize=32)
-def _plain_prime(bits: int, n: int) -> int:
-    return find_ntt_prime(bits, n)
-
-
-@dataclass
-class BfvCiphertext:
+class BfvCiphertext(IntSlotCiphertext):
     """BFV ciphertext: an RLWE pair over the full chain (no levels)."""
 
-    c0: RnsPoly
-    c1: RnsPoly
 
-    @property
-    def moduli(self):
-        return self.c0.moduli
-
-
-class BfvContext:
+class BfvContext(IntSlotContext):
     """Keygen, encryption and homomorphic evaluation for BFV."""
 
     def __init__(self, params: BfvParams, *, seed: int = None):
-        self.params = params
-        self.rng = np.random.default_rng(seed)
-        self.t = params.plain_modulus
-        chain = params.chain()
-        self.q_moduli = tuple(chain.moduli)
-        self.p_moduli = tuple(chain.special_primes)
-        self.q_product = chain.q_product(params.max_level)
+        super().__init__(params, seed=seed)
+        self.q_product = params.chain().q_product(params.max_level)
         #: Delta = floor(Q / t): the message scale.
         self.delta = self.q_product // self.t
-        self._keygen = KeyGenerator(params, self.rng)
-        self._stack_t = get_shoup_stack((self.t,), params.n)
         self._aux_moduli = self._build_aux_basis()
+        self._q_basis = RNSBasis(self.q_moduli)
+        self._aux_basis = RNSBasis(self._aux_moduli)
+        #: Q^{-1} mod each aux prime, as a column for the exact division.
+        self._q_inv_aux = np.array(
+            [modinv(self.q_product % p, p) for p in self._aux_moduli],
+            dtype=np.uint64,
+        ).reshape(-1, 1)
+
+    def _plain_factor(self, ct) -> int:
+        return self.delta
+
+    def _fresh(self, c0: RnsPoly, c1: RnsPoly) -> BfvCiphertext:
+        return BfvCiphertext(c0, c1)
+
+    def _coeff_map(self, ct: BfvCiphertext):
+        q, t = self.q_product, self.t
+        return lambda c: (2 * t * c + q) // (2 * q)
 
     def _build_aux_basis(self) -> Tuple[int, ...]:
         """Auxiliary primes for the tensor product: their product must
@@ -120,122 +83,28 @@ class BfvContext:
             + int(math.log2(self.params.n)) + 4
         )
         primes = []
-        below = None
+        p = 1 << 30  # walk down from the largest 30-bit prime
         bits_collected = 0
         taken = set(self.q_moduli) | set(self.p_moduli) | {self.t}
         while bits_collected < need_bits:
-            p = find_ntt_prime(30, self.params.n, below=below)
-            below = p
+            p = find_ntt_prime(30, self.params.n, below=p)
             if p in taken:
                 continue
             primes.append(p)
             bits_collected += p.bit_length() - 1
         return tuple(primes)
 
-    # -- keys ---------------------------------------------------------------------
-
-    def keygen(self) -> KeySet:
-        secret = self._keygen.generate_secret()
-        return KeySet(
-            secret=secret,
-            public=self._keygen.generate_public(secret),
-            relin=self._keygen.generate_relin(secret),
-        )
-
-    # -- encoding (same SIMD slots as BGV) --------------------------------------------
-
-    def encode(self, values: Sequence[int]) -> np.ndarray:
-        values = np.asarray(values, dtype=np.int64)
-        if len(values) > self.params.n:
-            raise ValueError(f"at most {self.params.n} slots")
-        slots = np.zeros(self.params.n, dtype=np.uint64)
-        slots[: len(values)] = np.mod(values, self.t).astype(np.uint64)
-        return stacked_negacyclic_intt(slots[None], self._stack_t)[0]
-
-    def decode(self, coeffs: np.ndarray) -> np.ndarray:
-        return stacked_negacyclic_ntt(
-            coeffs.astype(np.uint64)[None] % np.uint64(self.t),
-            self._stack_t,
-        )[0].astype(np.int64)
-
-    # -- encryption ------------------------------------------------------------------
-
-    def encrypt(self, values: Sequence[int], keys: KeySet) -> BfvCiphertext:
-        n = self.params.n
-        moduli = self.q_moduli
-        # Delta * m, per-prime via the big-int scalar.
-        m_coeffs = self.encode(values)
-        m = RnsPoly.from_signed(
-            m_coeffs.astype(np.int64), moduli
-        ).mul_scalar(self.delta).to_eval()
-        v = RnsPoly.from_signed(sample_ternary(n, self.rng),
-                                moduli).to_eval()
-        e0 = RnsPoly.from_signed(
-            sample_error(n, self.rng, std=self.params.error_std), moduli
-        ).to_eval()
-        e1 = RnsPoly.from_signed(
-            sample_error(n, self.rng, std=self.params.error_std), moduli
-        ).to_eval()
-        pk_b = keys.public.b
-        pk_a = keys.public.a
-        return BfvCiphertext(
-            c0=pk_b * v + e0 + m, c1=pk_a * v + e1
-        )
-
-    def decrypt(self, ct: BfvCiphertext, keys: KeySet) -> np.ndarray:
-        s = keys.secret.poly.take_primes(range(len(self.q_moduli)))
-        phase = (ct.c0 + ct.c1 * s).to_coeff()
-        crt = CRTReconstructor(list(self.q_moduli))
-        coeffs = crt.reconstruct_array(phase.data, signed=True)
-        q = self.q_product
-        t = self.t
-        reduced = np.array(
-            [((2 * t * int(c) + q) // (2 * q)) % t for c in coeffs],
-            dtype=np.uint64,
-        )
-        slots = self.decode(reduced)
-        centered = slots.copy()
-        centered[centered > t // 2] -= t
-        return centered
-
-    # -- additive ops -------------------------------------------------------------------
-
-    def hadd(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        return BfvCiphertext(a.c0 + b.c0, a.c1 + b.c1)
-
-    def hsub(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        return BfvCiphertext(a.c0 - b.c0, a.c1 - b.c1)
-
-    def negate(self, ct: BfvCiphertext) -> BfvCiphertext:
-        return BfvCiphertext(-ct.c0, -ct.c1)
-
-    def add_plain(self, ct: BfvCiphertext,
-                  values: Sequence[int]) -> BfvCiphertext:
-        m = RnsPoly.from_signed(
-            self.encode(values).astype(np.int64), self.q_moduli
-        ).mul_scalar(self.delta).to_eval()
-        return BfvCiphertext(ct.c0 + m, ct.c1.copy())
-
-    def pmult(self, ct: BfvCiphertext,
-              values: Sequence[int]) -> BfvCiphertext:
-        """Plaintext multiplication (unscaled plaintext: exact mod t)."""
-        m = RnsPoly.from_signed(
-            self.encode(values).astype(np.int64), self.q_moduli
-        ).to_eval()
-        return BfvCiphertext(ct.c0 * m, ct.c1 * m)
-
     # -- multiplication --------------------------------------------------------------------
 
     def hmult(self, a: BfvCiphertext, b: BfvCiphertext,
               keys: KeySet) -> BfvCiphertext:
         """Scale-invariant product with relinearization."""
-        q_basis = RNSBasis(self.q_moduli)
-        aux_basis = RNSBasis(self._aux_moduli)
         full_moduli = self.q_moduli + self._aux_moduli
 
         def lift(poly: RnsPoly) -> RnsPoly:
             coeff = poly.to_coeff()
-            aux = extend_basis_signed(coeff.data, q_basis, aux_basis)
+            aux = extend_basis_signed(coeff.data, self._q_basis,
+                                      self._aux_basis)
             data = np.concatenate([coeff.data, aux], axis=0)
             return RnsPoly(data, full_moduli, COEFF).to_eval()
 
@@ -257,8 +126,7 @@ class BfvContext:
         ``[t*x]_Q`` (known from the Q rows), divide by Q — then an exact
         conversion of the (small) quotient back onto the Q basis.
         """
-        q_basis = RNSBasis(self.q_moduli)
-        aux_basis = RNSBasis(self._aux_moduli)
+        q_basis, aux_basis = self._q_basis, self._aux_basis
         q_red, aux_red = q_basis.batch, aux_basis.batch
         num_q = len(self.q_moduli)
         coeff = poly.to_coeff()
@@ -269,10 +137,8 @@ class BfvContext:
         # Remainder r = [t*x]_Q (centered for round-to-nearest-ish), then
         # quotient y = (t*x - r) / Q on the aux rows.
         r_on_aux = extend_basis_signed(tx_q, q_basis, aux_basis)
-        q_inv = np.array([modinv(self.q_product % p, p)
-                          for p in self._aux_moduli],
-                         dtype=np.uint64).reshape(-1, 1)
-        y_aux = aux_red.mul_mat(aux_red.sub_mat(tx_aux, r_on_aux), q_inv)
+        y_aux = aux_red.mul_mat(aux_red.sub_mat(tx_aux, r_on_aux),
+                                self._q_inv_aux)
         # The quotient is small (|y| < t*N*Q / Q ~ t*N); convert exactly
         # back onto the Q basis with the signed representative.
         y_on_q = extend_basis_signed(y_aux, aux_basis, q_basis)

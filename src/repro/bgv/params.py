@@ -1,61 +1,20 @@
-"""BGV parameter sets.
-
-BGV [13] works over exact integers mod a plaintext modulus ``t``. For
-SIMD slot packing ``t`` must be an NTT-friendly prime of the same ring
-(``t ≡ 1 mod 2N``) so the plaintext ring splits into N integer slots —
-the encoder then reuses the same NTT machinery as everything else.
-"""
+"""BGV [13] parameter sets: the shared integer-slot fields
+(``repro.intslot``) plus BGV's check that ``t`` is not a chain prime."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
-from ..numtheory import PrimeChain, build_prime_chain, find_ntt_prime
+from ..intslot import IntSlotParams
+from ..numtheory import PrimeChain
 
 
-@dataclass(frozen=True)
-class BgvParams:
+class BgvParams(IntSlotParams):
     """Static parameters of one BGV instantiation."""
 
-    n: int
-    max_level: int
-    num_special: int = 2
-    dnum: int = 2
-    #: Bit size of the plaintext prime t (t ≡ 1 mod 2N is derived).
-    plain_bits: int = 17
-    modulus_bits: int = 28
-    base_bits: int = 31
-    special_bits: int = 31
-    error_std: float = 3.2
-    #: Hamming weight of the ternary secret (0 = dense).
-    secret_hamming_weight: int = 0
-    name: str = ""
-
-    def __post_init__(self):
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ValueError("ring degree must be a power of two >= 8")
-        if self.max_level < 1:
-            raise ValueError("need at least one level")
-        if self.plain_bits < 2 or self.plain_bits > 30:
-            raise ValueError("plaintext prime must be 2..30 bits")
-
-    @property
-    def plain_modulus(self) -> int:
-        """The NTT-friendly plaintext prime t."""
-        return _plain_prime(self.plain_bits, self.n)
-
-    @property
-    def num_primes(self) -> int:
-        return self.max_level + 1
-
     def chain(self) -> PrimeChain:
-        chain = _chain_for(
-            self.n, self.max_level, self.num_special, self.base_bits,
-            self.modulus_bits, self.special_bits,
-        )
-        t = self.plain_modulus
-        if t in chain.all_moduli:
+        """The modulus chain; rejects a ``t`` equal to a chain or special
+        prime, since the t-preserving ModDown inverts those primes mod t."""
+        chain = super().chain()
+        if self.plain_modulus in chain.all_moduli:
             raise ValueError(
                 "plaintext prime collided with the modulus chain; pick a "
                 "different plain_bits"
@@ -71,18 +30,3 @@ class BgvParams:
     def small(cls) -> "BgvParams":
         return cls(n=1024, max_level=5, num_special=2, dnum=3,
                    plain_bits=17, modulus_bits=28, name="bgv-small")
-
-
-@lru_cache(maxsize=32)
-def _plain_prime(bits: int, n: int) -> int:
-    return find_ntt_prime(bits, n)
-
-
-@lru_cache(maxsize=32)
-def _chain_for(n, max_level, num_special, base_bits, modulus_bits,
-               special_bits) -> PrimeChain:
-    return build_prime_chain(
-        n, num_levels=max_level, num_special=num_special,
-        base_bits=base_bits, scale_bits=modulus_bits,
-        special_bits=special_bits,
-    )

@@ -12,156 +12,55 @@ RNS/NTT machinery the CKKS layer runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..ckks.keys import KeyGenerator, KeySet
+from ..ckks.keys import KeySet
 from ..ckks.keyswitch import keyswitch
 from ..ckks.ks_common import eval_automorphism_table, mod_down_eval
 from ..ckks.poly import EVAL, RnsPoly
-from ..ckks.sampling import sample_error, sample_ternary
-from ..ntt import (get_shoup_stack, stacked_negacyclic_intt,
-                   stacked_negacyclic_ntt)
-from ..numtheory import CRTReconstructor, modinv
+from ..intslot import IntSlotCiphertext, IntSlotContext
+from ..numtheory import modinv
 from ..numtheory.rns import RNSBasis
-from .params import BgvParams
 
 
 @dataclass
-class BgvCiphertext:
+class BgvCiphertext(IntSlotCiphertext):
     """BGV ciphertext: RLWE pair + level + plaintext scale factor mod t.
 
     Modulus switching multiplies the message by ``q_last^{-1} mod t``;
     ``plain_scale`` accumulates those factors so decryption can undo them.
     """
 
-    c0: RnsPoly
-    c1: RnsPoly
     level: int
     plain_scale: int = 1
 
-    @property
-    def moduli(self):
-        return self.c0.moduli
 
-
-class BgvContext:
+class BgvContext(IntSlotContext):
     """Keygen, encryption and homomorphic evaluation for BGV."""
 
-    def __init__(self, params: BgvParams, *, seed: int = None):
-        self.params = params
-        self.rng = np.random.default_rng(seed)
-        self.t = params.plain_modulus
-        chain = params.chain()
-        self.q_moduli = tuple(chain.moduli)
-        self.p_moduli = tuple(chain.special_primes)
-        self._keygen = KeyGenerator(params, self.rng, error_scale=self.t)
-        self._stack_t = get_shoup_stack((self.t,), params.n)
+    def _error_scale(self) -> int:
+        return self.t
 
-    # -- keys -------------------------------------------------------------------
+    def _plain_factor(self, ct: BgvCiphertext) -> int:
+        return ct.plain_scale
 
-    def keygen(self) -> KeySet:
-        secret = self._keygen.generate_secret()
-        return KeySet(
-            secret=secret,
-            public=self._keygen.generate_public(secret),
-            relin=self._keygen.generate_relin(secret),
-        )
+    def _fresh(self, c0: RnsPoly, c1: RnsPoly) -> BgvCiphertext:
+        return BgvCiphertext(c0, c1, self.params.max_level)
 
-    # -- encoding (SIMD slots via the NTT mod t) -----------------------------------
-
-    def encode(self, values: Sequence[int]) -> np.ndarray:
-        """Pack up to N integer slots into plaintext coefficients mod t."""
-        values = np.asarray(values, dtype=np.int64)
-        if len(values) > self.params.n:
-            raise ValueError(f"at most {self.params.n} slots")
-        slots = np.zeros(self.params.n, dtype=np.uint64)
-        slots[: len(values)] = np.mod(values, self.t).astype(np.uint64)
-        return stacked_negacyclic_intt(slots[None], self._stack_t)[0]
-
-    def decode(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients mod t back to integer slots."""
-        return stacked_negacyclic_ntt(
-            coeffs.astype(np.uint64)[None] % np.uint64(self.t),
-            self._stack_t,
-        )[0].astype(np.int64)
-
-    # -- encryption -----------------------------------------------------------------
-
-    def encrypt(self, values: Sequence[int], keys: KeySet) -> BgvCiphertext:
-        level = self.params.max_level
-        moduli = self.q_moduli[: level + 1]
-        n = self.params.n
-        m = RnsPoly.from_signed(
-            self.encode(values).astype(np.int64), moduli
-        ).to_eval()
-        v = RnsPoly.from_signed(sample_ternary(n, self.rng), moduli
-                                ).to_eval()
-        e0 = RnsPoly.from_signed(
-            sample_error(n, self.rng, std=self.params.error_std) * self.t,
-            moduli,
-        ).to_eval()
-        e1 = RnsPoly.from_signed(
-            sample_error(n, self.rng, std=self.params.error_std) * self.t,
-            moduli,
-        ).to_eval()
-        pk_b = keys.public.b.take_primes(range(level + 1))
-        pk_a = keys.public.a.take_primes(range(level + 1))
-        return BgvCiphertext(
-            c0=pk_b * v + e0 + m, c1=pk_a * v + e1, level=level,
-        )
-
-    def decrypt(self, ct: BgvCiphertext, keys: KeySet) -> np.ndarray:
-        """Decrypt to integer slots (centered representatives mod t)."""
-        s = keys.secret.poly.take_primes(range(ct.level + 1))
-        phase = (ct.c0 + ct.c1 * s).to_coeff()
-        crt = CRTReconstructor(list(phase.moduli))
-        coeffs = crt.reconstruct_array(phase.data, signed=True)
+    def _coeff_map(self, ct: BgvCiphertext):
         unscale = modinv(ct.plain_scale, self.t)
-        reduced = np.array(
-            [(int(c) * unscale) % self.t for c in coeffs], dtype=np.uint64
-        )
-        slots = self.decode(reduced)
-        centered = slots.copy()
-        centered[centered > self.t // 2] -= self.t
-        return centered
+        return lambda c: c * unscale
 
     # -- homomorphic operations -------------------------------------------------------
 
-    def hadd(self, a: BgvCiphertext, b: BgvCiphertext) -> BgvCiphertext:
-        a, b = self._align(a, b)
-        return BgvCiphertext(a.c0 + b.c0, a.c1 + b.c1, a.level,
-                             a.plain_scale)
-
-    def hsub(self, a: BgvCiphertext, b: BgvCiphertext) -> BgvCiphertext:
-        a, b = self._align(a, b)
-        return BgvCiphertext(a.c0 - b.c0, a.c1 - b.c1, a.level,
-                             a.plain_scale)
-
-    def negate(self, ct: BgvCiphertext) -> BgvCiphertext:
-        return BgvCiphertext(-ct.c0, -ct.c1, ct.level, ct.plain_scale)
-
-    def add_plain(self, ct: BgvCiphertext,
-                  values: Sequence[int]) -> BgvCiphertext:
-        moduli = ct.moduli
-        m = RnsPoly.from_signed(
-            self.encode(values).astype(np.int64), moduli
-        ).to_eval().mul_scalar(ct.plain_scale)
-        return BgvCiphertext(ct.c0 + m, ct.c1.copy(), ct.level,
-                             ct.plain_scale)
-
-    def pmult(self, ct: BgvCiphertext,
-              values: Sequence[int]) -> BgvCiphertext:
-        m = RnsPoly.from_signed(
-            self.encode(values).astype(np.int64), ct.moduli
-        ).to_eval()
-        return BgvCiphertext(ct.c0 * m, ct.c1 * m, ct.level,
-                             ct.plain_scale)
-
     def hmult(self, a: BgvCiphertext, b: BgvCiphertext, keys: KeySet, *,
               mod_switch: bool = True) -> BgvCiphertext:
-        """Ciphertext product with relinearization (+ modulus switch)."""
+        """Ciphertext product with relinearization (+ modulus switch).
+
+        Operands are aligned as in :meth:`hadd`: the higher-level one is
+        mod-switched down and the ``plain_scale`` factors equalised.
+        """
         a, b = self._align(a, b)
         d0 = a.c0 * b.c0
         d1 = (a.c0 * b.c1).fma_(a.c1, b.c0)
@@ -234,6 +133,9 @@ class BgvContext:
     # -- internals ------------------------------------------------------------------
 
     def _align(self, a: BgvCiphertext, b: BgvCiphertext):
+        """Mod-switch the higher-level operand down to the other's level,
+        then multiply ``b`` by a constant so its ``plain_scale`` matches
+        ``a``'s (the result keeps ``a``'s)."""
         while a.level > b.level:
             a = self.mod_switch(a)
         while b.level > a.level:

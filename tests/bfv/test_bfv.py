@@ -61,6 +61,23 @@ class TestExtendBasisSigned:
             assert out[j].tolist() == [x % t for x in negs]
 
 
+class TestBfvParams:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BfvParams(n=48)
+        with pytest.raises(ValueError):
+            BfvParams(n=64, max_level=0)
+        # 1 and 31 bits used to reach the prime search (or, for 31 bits,
+        # silently pick the chain's base prime as t).
+        for bits in (1, 31, 40):
+            with pytest.raises(ValueError, match="2..30 bits"):
+                BfvParams(n=64, plain_bits=bits)
+
+    def test_defaults_kept(self):
+        p = BfvParams(n=64)
+        assert (p.max_level, p.modulus_bits) == (3, 26)
+
+
 class TestBfvBasics:
     def test_delta_definition(self, ctx):
         assert ctx.delta == ctx.q_product // ctx.t
@@ -75,6 +92,20 @@ class TestBfvBasics:
         vals = [5, -7, 100, 0, 999]
         assert ctx.decrypt(ctx.encrypt(vals, keys), keys)[:5].tolist() \
             == vals
+
+    def test_rejects_non_integral_slots(self, ctx, keys):
+        for bad in ([2.7, -1.5, 3], [np.nan], [np.inf], [1, -np.inf]):
+            with pytest.raises(ValueError, match="finite integers"):
+                ctx.encrypt(bad, keys)
+        ct = ctx.encrypt([4, 5], keys)
+        with pytest.raises(ValueError, match="finite integers"):
+            ctx.pmult(ct, [0.5])
+        with pytest.raises(ValueError, match="finite integers"):
+            ctx.add_plain(ct, [0.25])
+
+    def test_integral_floats_accepted(self, ctx, keys):
+        ct = ctx.encrypt([3.0, -2.0, 7], keys)
+        assert ctx.decrypt(ct, keys)[:3].tolist() == [3, -2, 7]
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.integers(min_value=-3000, max_value=3000),
