@@ -50,7 +50,7 @@ def measure():
 def build_table(results):
     rows = []
     for name, res in results.items():
-        blocks = sum(e.profile.spec.blocks for e in res.entries)
+        blocks = sum(e.spec.blocks for e in res.entries)
         rows.append([
             name, res.kernel_count, round(res.elapsed_us, 1), blocks,
         ])

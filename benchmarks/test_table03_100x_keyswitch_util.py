@@ -29,8 +29,8 @@ def profile_kernel_classes(params):
     ops = HundredXOps(params)
     result = ops.simulate("keyswitch")
     groups = {}
-    for prof in result.profiles:
-        name = prof.spec.name
+    for entry in result.entries:
+        name = entry.name
         if "intt" in name:
             kind = "INTT"
         elif "ntt" in name:
@@ -43,7 +43,7 @@ def profile_kernel_classes(params):
             kind = "InProd"
         else:
             continue
-        groups.setdefault(kind, []).append(prof)
+        groups.setdefault(kind, []).append(entry.profile)
     return {kind: aggregate(profs) for kind, profs in groups.items()}
 
 

@@ -169,7 +169,7 @@ def observed_peak_bytes(result: ExecutionResult) -> float:
     if not entries:
         return 0.0
     index_of = {e.index: pos for pos, e in enumerate(entries)}
-    byte_count = [float(e.profile.spec.gmem_write_bytes) for e in entries]
+    byte_count = [float(e.spec.gmem_write_bytes) for e in entries]
     windows = [(e.start_us, e.end_us) for e in entries]
     deps_of = [tuple(index_of[d] for d in e.deps if d in index_of)
                for e in entries]

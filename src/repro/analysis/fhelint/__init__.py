@@ -16,8 +16,6 @@ the library (see DESIGN.md §9):
 * **A-xxx — aliasing/purity**: functions returning views of ``self``
   buffers or cached stacks (the ``to_eval()`` bug class) and mutation
   of ``@frozen`` compiled plans.
-* **K-xxx — kernel descriptors**: every ``KernelSpec(...)`` constructed
-  in the tree must go through ``.validate()``.
 
 Findings can be grandfathered in a committed per-rule baseline file and
 suppressed inline with ``# fhelint: allow-<rule>`` where a usage is

@@ -20,7 +20,6 @@ RULES: Dict[str, str] = {
     "D-DOM": "Montgomery/standard domain mismatch at a call site",
     "A-VIEW": "returns a view of self/cached buffers without copy",
     "A-FROZEN": "mutation of a @frozen compiled plan",
-    "K-VAL": "KernelSpec constructed without .validate()",
     "T-KIND": "trace emit() with a kind outside the ALL_KINDS vocabulary",
 }
 

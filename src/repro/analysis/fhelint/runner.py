@@ -21,7 +21,6 @@ from .bounds import (BoundsPass, object_dtype_findings,
                      unannotated_astype_findings)
 from .domains import DomainPass
 from .findings import RULES, Baseline, Finding
-from .kernelrules import kernelspec_findings
 from .registry import ModuleInfo, Registry
 from .tracerules import trace_kind_findings
 
@@ -206,7 +205,6 @@ def run_lint(roots: List[str],
     for path, module in modules.items():
         locate = _func_locator(module)
         findings.extend(object_dtype_findings(module, locate))
-        findings.extend(kernelspec_findings(module, locate))
         findings.extend(trace_kind_findings(module, locate))
         if any(part in path.replace("\\", "/")
                for part in _NUMERIC_ROOTS):

@@ -99,7 +99,7 @@ class TensorFheNtt:
             coalescing=0.25,             # byte-granular stores
             efficiency=DEFAULT_KERNEL_EFFICIENCY,
             tags={"stage": "Stage 1"},
-        ).validate()
+        )
 
         def gemm(stage: str, inner: int, m: int, mn: int) -> KernelSpec:
             # One limb-pair GEMM: X_m (uint8) x W (uint8) -> int32 partial.
@@ -115,7 +115,7 @@ class TensorFheNtt:
                 smem_per_block_bytes=48 * 1024,
                 efficiency=DEFAULT_KERNEL_EFFICIENCY,
                 tags={"stage": stage},
-            ).validate()
+            )
 
         mid = KernelSpec(
             name="tf.mid(Hada&Trans)",
@@ -130,7 +130,7 @@ class TensorFheNtt:
             coalescing=0.5,
             efficiency=DEFAULT_KERNEL_EFFICIENCY,
             tags={"stage": "Stage 3"},
-        ).validate()
+        )
 
         merge = KernelSpec(
             name="tf.merge(U8ToU32)",
@@ -141,7 +141,7 @@ class TensorFheNtt:
             gmem_write_bytes=elems * WORD,
             efficiency=DEFAULT_KERNEL_EFFICIENCY,
             tags={"stage": "Stage 5"},
-        ).validate()
+        )
 
         plan = [split]
         plan += [gemm("Stage 2", self.n2, m, mn)
@@ -189,7 +189,7 @@ class TensorFheNtt:
         result = self.simulate(batch)
         groups = {}
         for entry in result.entries:
-            stage = entry.profile.spec.tags.get("stage", "?")
+            stage = entry.spec.tags.get("stage", "?")
             groups.setdefault(stage, []).append(entry.profile)
         return dict(sorted(groups.items()))
 

@@ -144,7 +144,8 @@ def mod_down_eval(x_eval: np.ndarray, main: RNSBasis, special: RNSBasis, *,
     Only the special rows are inverse-transformed: the exact correction
     ``delta`` (:func:`~repro.numtheory.rns.mod_down_delta`) is NTT'd onto
     ``main`` and ``(x - delta) * P^{-1}`` is taken in the eval domain.
-    Bit-identical to INTT → ``mod_down``/``mod_down_exact_t`` → NTT.
+    Bit-identical to INTT → ``mod_down`` (with ``plain_modulus``, the
+    t-preserving ``mod_down_exact_t`` in ``tests/oracles``) → NTT.
     """
     n_main = len(main)
     if x_eval.shape[0] != n_main + len(special):

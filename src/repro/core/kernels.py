@@ -83,7 +83,7 @@ def elementwise_kernel(name: str, elements: int, *, ops_per_element: float,
         efficiency=efficiency,
         regs_per_thread=40,
         tags={"kind": "elementwise", **tags},
-    ).validate()
+    )
 
 
 def modmul_kernel(name: str, elements: int, *, operands: int = 2,
@@ -134,7 +134,7 @@ def modup_kernel(name: str, n: int, source_primes: int, target_primes: int,
         efficiency=efficiency,
         regs_per_thread=64,
         tags={"kind": "modup", **tags},
-    ).validate()
+    )
 
 
 def moddown_kernel(name: str, n: int, main_primes: int, special_primes: int,
@@ -161,7 +161,7 @@ def moddown_kernel(name: str, n: int, main_primes: int, special_primes: int,
         efficiency=efficiency,
         regs_per_thread=64,
         tags={"kind": "moddown", **tags},
-    ).validate()
+    )
 
 
 def inner_product_kernel(name: str, n: int, primes: int, digits: int,
@@ -191,7 +191,7 @@ def inner_product_kernel(name: str, n: int, primes: int, digits: int,
         efficiency=efficiency,
         regs_per_thread=56,
         tags={"kind": "inner_product", **tags},
-    ).validate()
+    )
 
 
 def automorphism_kernel(name: str, n: int, primes: int, polys: int = 2, *,

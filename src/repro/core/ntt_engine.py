@@ -198,7 +198,7 @@ class WarpDriveNtt:
                     efficiency=self.efficiency,
                     regs_per_thread=96,
                     tags={"variant": self.variant, "n": str(self.n)},
-                ).validate()
+                )
             )
         return kernels
 

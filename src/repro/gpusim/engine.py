@@ -33,8 +33,9 @@ reflect algorithmic differences, not tuning.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict
 
 from .device import GpuSpec
@@ -62,9 +63,10 @@ class Occupancy:
 @dataclass(frozen=True)
 class KernelProfile:
     """Simulated execution profile of a single kernel launch (immutable:
-    :func:`profile_kernel` hands one instance to every caller)."""
+    :func:`profile_kernel` hands one instance to every launch of the
+    same cost shape, so it carries no name or tags; a timeline entry
+    holds the launch's own spec)."""
 
-    spec: KernelSpec
     device: GpuSpec
     occupancy: Occupancy
     #: Device-cycles demanded by each resource (throughput view).
@@ -216,7 +218,6 @@ def simulate_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
         exec_cycles = 1.0  # an empty kernel still occupies the pipeline
 
     return KernelProfile(
-        spec=spec,
         device=device,
         occupancy=occ,
         resource_cycles=resources,
@@ -228,18 +229,16 @@ def simulate_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
     )
 
 
+#: Every :class:`KernelSpec` field a profile depends on: all but the
+#: display ``name`` and the report ``tags``.
+_cost_fields = attrgetter(*(f.name for f in fields(KernelSpec)
+                            if f.name not in ("name", "tags")))
+
+
 def spec_cache_key(spec: KernelSpec) -> tuple:
-    """Full value identity of a spec (KernelSpec holds dicts, so the
-    key spells it out by hand); two specs with equal keys profile
-    identically on a given device."""
-    s = spec
-    return (
-        s.name, s.blocks, s.warps_per_block, s.int32_ops,
-        s.tensor_macs, s.gmem_read_bytes, s.gmem_write_bytes,
-        s.smem_read_bytes, s.smem_write_bytes, s.smem_per_block_bytes,
-        s.regs_per_thread, s.barriers, s.coalescing, s.efficiency,
-        tuple(sorted(s.tags.items())),
-    )
+    """The cost fields of a spec, in field order; two specs with equal
+    keys profile identically on a given device, whatever their names."""
+    return _cost_fields(spec)
 
 
 #: Profiles the memo keeps before evicting the least recently used: the
@@ -260,7 +259,8 @@ def profile_kernel(spec: KernelSpec, device: GpuSpec) -> KernelProfile:
 
     Traced DAGs repeat a small set of kernel shapes across launches,
     requests and schedule candidates; the model is a pure function of
-    ``(device, spec)``, so each distinct pair is priced once.
+    the device and the spec's cost fields (:func:`spec_cache_key`), so
+    each distinct pair is priced once.
     """
     key = (device, spec_cache_key(spec))
     prof = _PROFILE_MEMO.get(key)

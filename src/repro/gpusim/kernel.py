@@ -5,6 +5,9 @@ launch geometry, total operation counts per execution-pipe class, and its
 memory traffic by space. The lowering code in :mod:`repro.core` and
 :mod:`repro.baselines` builds these from honest counts of what each
 algorithm actually computes and moves; the engine then prices them.
+Every construction is validated (``__post_init__``), so builders need
+no separate check. The price depends on the cost fields only: ``name``
+and ``tags`` label a launch and never enter the profile memo's key.
 """
 
 from __future__ import annotations
@@ -80,12 +83,14 @@ class KernelSpec:
     tags: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> "KernelSpec":
-        """Schema-check the descriptor and return it (chainable).
+        """Schema-check the descriptor and return it.
 
-        Construction sites write ``KernelSpec(...).validate()`` so a
-        nonsensical geometry or a negative count fails next to the
-        numbers that produced it; the engine re-validates at submit time
-        as a backstop for specs assembled via :func:`dataclasses.replace`.
+        ``__post_init__`` runs it on every construction, including
+        :func:`dataclasses.replace` and :meth:`scaled`, so a nonsensical
+        geometry or a negative count fails next to the numbers that
+        produced it; the engine re-checks at submit time, once per
+        distinct cost shape, as a backstop for a spec mutated after
+        construction.
         """
         if self.blocks < 1 or self.warps_per_block < 1:
             raise ValueError("kernel must launch at least one warp")

@@ -30,10 +30,13 @@ from .stalls import StallBreakdown
 class TimelineEntry:
     """One executed kernel instance on the device timeline.
 
-    ``index`` is its node in the launch graph, ``deps`` the node indices
-    it waited on and ``stream`` the display lane it was drawn on.
+    ``spec`` is the launch's own descriptor (its name and tags), while
+    ``profile`` is the price shared by every launch of the same cost
+    shape. ``index`` is its node in the launch graph, ``deps`` the node
+    indices it waited on and ``stream`` the display lane it was drawn on.
     """
 
+    spec: KernelSpec
     profile: KernelProfile
     stream: int
     start_us: float
@@ -43,7 +46,7 @@ class TimelineEntry:
 
     @property
     def name(self) -> str:
-        return self.profile.spec.name
+        return self.spec.name
 
     @property
     def duration_us(self) -> float:
@@ -87,8 +90,9 @@ def profile_cache_stats() -> Dict[str, int]:
     (:func:`~repro.gpusim.engine.profile_kernel`).
 
     ``hits``/``misses`` accumulate over every caller, ``currsize`` is
-    the number of memoised ``(device, spec)`` profiles and ``runs`` the
-    number of :func:`run_dag` invocations.
+    the number of memoised ``(device, cost shape)`` profiles (launches
+    that differ only in name or tags share one) and ``runs`` the number
+    of :func:`run_dag` invocations.
     """
     return {**_PROFILE_STATS, "currsize": len(_PROFILE_MEMO)}
 
@@ -161,7 +165,28 @@ def run_dag(nodes: Sequence[DagKernel], device: GpuSpec) -> ExecutionResult:
                 )
     profiles = [profile_kernel(node.spec, device) for node in nodes]
     _PROFILE_STATS["runs"] += 1
-    return run_profiled_dag(profiles, [node.deps for node in nodes], device)
+    order, starts = run_profiled_dag(
+        profiles, [node.deps for node in nodes], device)
+    result = ExecutionResult(device=device)
+    # Launches come in nondecreasing start order and every latency is
+    # positive, so freeing each lane that ended by a launch's start and
+    # taking the lowest free one draws the lanes the loop would have.
+    free_lanes: List[int] = []
+    busy_lanes: List[Tuple[float, int]] = []
+    for i in order:
+        start = starts[i]
+        end = start + profiles[i].elapsed_us
+        while busy_lanes and busy_lanes[0][0] <= start:
+            heapq.heappush(free_lanes, heapq.heappop(busy_lanes)[1])
+        # With no free lane, every lane drawn so far is busy.
+        lane = (heapq.heappop(free_lanes) if free_lanes
+                else len(busy_lanes))
+        heapq.heappush(busy_lanes, (end, lane))
+        result.entries.append(TimelineEntry(
+            spec=nodes[i].spec, profile=profiles[i], stream=lane,
+            start_us=start, end_us=end, index=i, deps=tuple(nodes[i].deps),
+        ))
+    return result
 
 
 def run_serial(kernels: Sequence[KernelSpec], device: GpuSpec,
@@ -174,11 +199,14 @@ def run_serial(kernels: Sequence[KernelSpec], device: GpuSpec,
 
 def run_profiled_dag(profiles: Sequence[KernelProfile],
                      deps: Sequence[Sequence[int]],
-                     device: GpuSpec) -> ExecutionResult:
+                     device: GpuSpec) -> Tuple[List[int], List[float]]:
     """The :func:`run_dag` event loop over already priced nodes.
 
-    ``deps[i]`` must reference nodes before ``i`` (:func:`run_dag` checks
-    that; callers that build their own orders check it themselves).
+    Returns the launch order (node indices) and each node's start time
+    in microseconds; node ``i`` ends at ``starts[i] +
+    profiles[i].elapsed_us``. ``deps[i]`` must reference nodes before
+    ``i`` (:func:`run_dag` checks that; callers that build their own
+    orders check it themselves).
 
     Every kernel needs at least one SM (``KernelSpec.validate`` enforces
     ``blocks >= 1``), so once the array is full no ready node can fit and
@@ -196,25 +224,18 @@ def run_profiled_dag(profiles: Sequence[KernelProfile],
     latency = [prof.elapsed_us for prof in profiles]
     sms = [prof.occupancy.sm_used for prof in profiles]
     sm_count = device.sm_count
-    result = ExecutionResult(device=device)
-    entries = result.entries
+    order: List[int] = []
+    starts = [0.0] * n
 
     #: dep-free nodes awaiting launch, popped in index order.
     ready: List[int] = [i for i, deg in enumerate(indegree) if deg == 0]
     heapq.heapify(ready)
     #: (end_time_us, node_index) of currently running kernels.
     running: List[Tuple[float, int]] = []
-    #: display lanes: free lane indices / (busy-until, lane) of busy ones.
-    free_lanes: List[int] = []
-    busy_lanes: List[Tuple[float, int]] = []
-    num_lanes = 0
     busy_sms = 0
     now = 0.0
 
     while ready or running:
-        while busy_lanes and busy_lanes[0][0] <= now:
-            _, lane = heapq.heappop(busy_lanes)
-            heapq.heappush(free_lanes, lane)
         # Launch every ready node whose grid fits, in index order (the
         # recording's program order); the rest wait for the next event.
         deferred: List[int] = []
@@ -223,21 +244,10 @@ def run_profiled_dag(profiles: Sequence[KernelProfile],
             if sm_count - busy_sms < sms[i]:
                 deferred.append(i)
                 continue
-            end = now + latency[i]
-            if free_lanes:
-                lane = heapq.heappop(free_lanes)
-            else:
-                lane = num_lanes
-                num_lanes += 1
-            heapq.heappush(busy_lanes, (end, lane))
-            heapq.heappush(running, (end, i))
+            heapq.heappush(running, (now + latency[i], i))
             busy_sms += sms[i]
-            entries.append(
-                TimelineEntry(
-                    profile=profiles[i], stream=lane, start_us=now,
-                    end_us=end, index=i, deps=tuple(deps[i]),
-                )
-            )
+            order.append(i)
+            starts[i] = now
         for i in deferred:
             heapq.heappush(ready, i)
         if not ready and not running:
@@ -252,4 +262,4 @@ def run_profiled_dag(profiles: Sequence[KernelProfile],
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     heapq.heappush(ready, child)
-    return result
+    return order, starts

@@ -76,7 +76,7 @@ def to_chrome_trace(result: ExecutionResult) -> dict:
         prof = e.profile
         args = {
             "bound_by": prof.bound_by,
-            "blocks": prof.spec.blocks,
+            "blocks": e.spec.blocks,
             "sm_used": prof.occupancy.sm_used,
             "resident_warps_per_sm":
                 prof.occupancy.resident_warps_per_sm,
@@ -87,8 +87,8 @@ def to_chrome_trace(result: ExecutionResult) -> dict:
         # twists tag their specs; surface them so before/after trace
         # pairs diff meaningfully in Perfetto.
         for tag in ("fused", "fold_pre", "fold_post"):
-            if tag in prof.spec.tags:
-                args[tag] = prof.spec.tags[tag]
+            if tag in e.spec.tags:
+                args[tag] = e.spec.tags[tag]
         events.append({
             "name": e.name,
             "ph": "X",  # complete event

@@ -457,22 +457,6 @@ def mod_down(residues: np.ndarray, main: RNSBasis, special: RNSBasis,
     return divide_by_special(residues[:n_main], delta, main, special)
 
 
-@bounded(in_q=1, out_q=1, params={"residues": {"q": 1}})
-def mod_down_exact_t(residues: np.ndarray, main: RNSBasis,
-                     special: RNSBasis, t: int) -> np.ndarray:
-    """BGV/BFV-style ModDown: divide by ``P`` *preserving residues mod t*.
-
-    CKKS tolerates ModDown's rounding as noise; BGV cannot — the rounding
-    must be a multiple of the plaintext modulus ``t`` (see
-    :func:`mod_down_delta`).
-    """
-    _check_mod_down_rows(residues, main, special)
-    n_main = len(main)
-    delta = mod_down_delta(residues[n_main:], main, special,
-                           plain_modulus=t)
-    return divide_by_special(residues[:n_main], delta, main, special)
-
-
 def digit_partition(num_primes: int, dnum: int) -> List[List[int]]:
     """Partition modulus indices ``0..num_primes-1`` into ``dnum`` digits.
 

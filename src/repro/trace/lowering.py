@@ -126,7 +126,8 @@ class KernelDag:
 class _Group:
     """A set of trace events lowered as one launch (mutable while built)."""
 
-    __slots__ = ("kind", "events", "shape", "op", "span", "first")
+    __slots__ = ("kind", "events", "shape", "op", "span", "first",
+                 "all_eids")
 
     def __init__(self, event: TraceEvent):
         self.kind = event.kind
@@ -135,6 +136,12 @@ class _Group:
         self.op = event.op
         self.span = event.span
         self.first = event.eid
+        #: Event ids realized by this launch, constituents included:
+        #: consumers of an event swallowed by a fused launch still name
+        #: the constituent eid in their deps, so exporting every covered
+        #: id keeps the eid->node map total.
+        self.all_eids: Tuple[int, ...] = (
+            event.eid, *(c.eid for c in event.fused))
 
     def can_absorb(self, event: TraceEvent) -> bool:
         if event.kind != self.kind or event.span != self.span:
@@ -153,7 +160,9 @@ class _Group:
         return False
 
     def absorb(self, event: TraceEvent) -> None:
+        # can_absorb refuses fused events, so the event adds its own id.
         self.events.append(event)
+        self.all_eids += (event.eid,)
         s, t = self.shape, event.shape
         if self.kind in ("intt", "ntt", "modadd", "modmul", "divide"):
             s["rows"] = s.get("rows", 0) + t.get("rows", 0)
@@ -161,24 +170,6 @@ class _Group:
                 s["panes"] = s.get("panes", 1) + t.get("panes", 1)
         elif self.kind == "automorphism":
             s["polys"] = s.get("polys", 1) + t.get("polys", 1)
-
-    @property
-    def eids(self) -> Tuple[int, ...]:
-        return tuple(e.eid for e in self.events)
-
-    @property
-    def all_eids(self) -> Tuple[int, ...]:
-        """Event ids realized by this launch, constituents included.
-
-        Consumers of an event swallowed by a fused launch still name the
-        constituent eid in their deps; exporting every covered id keeps
-        the eid->node map total.
-        """
-        out: List[int] = []
-        for e in self.events:
-            out.append(e.eid)
-            out.extend(c.eid for c in e.fused)
-        return tuple(out)
 
     def external_deps(self) -> Tuple[int, ...]:
         mine = set(self.all_eids)
@@ -232,7 +223,7 @@ def _group_events(events: Sequence[TraceEvent], *, merge: bool,
                 g = groups[gi]
                 if not g.can_absorb(e):
                     continue
-                if any(ge in anc[e.eid] for ge in g.eids):
+                if any(ge in anc[e.eid] for ge in g.all_eids):
                     continue
                 g.absorb(e)
                 placed = True
@@ -329,14 +320,10 @@ class _Lowerer:
                 for i, s in enumerate(plan)]
 
     # -- one launch group ----------------------------------------------
-    def atoms(self, g: _Group) -> Tuple[List[List[KernelSpec]], str]:
-        """Lower one group to launch atoms.
-
-        Returns ``(parts, mode)``: ``parts`` is a list of kernel chains
-        (each chain serializes internally); ``mode`` is ``"parallel"``
-        (parts are independent) — chains of a single part cover the
-        sequential NTT-stage case.
-        """
+    def atoms(self, g: _Group) -> List[List[KernelSpec]]:
+        """Lower one group to launch atoms: independent kernel chains,
+        each serializing internally (a chain of one part covers the
+        sequential NTT-stage case)."""
         kind, shape = g.kind, g.shape
         name = f"{_leaf(g.op)}.{kind}"
         if len(g.events) == 1 and g.events[0].fused:
@@ -352,11 +339,9 @@ class _Lowerer:
                 parts.append(self._ntt_chain(
                     part_name, r, inverse=(kind == "intt")
                 ))
-            return parts, "parallel"
-        parts = []
-        for i, spec in enumerate(self._split_specs(kind, shape, name, split)):
-            parts.append([spec])
-        return parts, "parallel"
+            return parts
+        return [[spec]
+                for spec in self._split_specs(kind, shape, name, split)]
 
     def _split_count(self, kind: str, shape: Dict[str, int]) -> int:
         split = shape.get("split", 1)
@@ -452,14 +437,14 @@ class _Lowerer:
 
     # -- optimizer-fused events ----------------------------------------
     def _fused_atoms(self, event: TraceEvent, name: str,
-                     ) -> Tuple[List[List[KernelSpec]], str]:
+                     ) -> List[List[KernelSpec]]:
         """Lower an optimizer-produced fused event (DESIGN.md §12)."""
         if event.kind == "fused_elementwise":
-            return [[self._fused_elementwise_spec(event, name)]], "parallel"
+            return [[self._fused_elementwise_spec(event, name)]]
         if event.kind == "fused_launch":
-            return [[self._fused_launch_spec(event, name)]], "parallel"
+            return [[self._fused_launch_spec(event, name)]]
         if event.kind in ("ntt", "intt"):
-            return [self._folded_ntt_chain(event, name)], "parallel"
+            return [self._folded_ntt_chain(event, name)]
         raise ValueError(
             f"cannot lower fused trace event kind {event.kind!r}"
         )
@@ -506,7 +491,7 @@ class _Lowerer:
         merged = specs[0]
         for s in specs[1:]:
             merged = _concat_specs(merged, s)
-        return merged.renamed(name, fused=len(event.fused)).validate()
+        return merged.renamed(name, fused=len(event.fused))
 
     def _folded_ntt_chain(self, event: TraceEvent, name: str,
                           ) -> List[KernelSpec]:
@@ -607,7 +592,7 @@ def _fold_twist(spec: KernelSpec, members: Sequence[TraceEvent], *,
         gmem_read_bytes=max(spec.gmem_read_bytes + rd * word, 0.0),
         gmem_write_bytes=max(spec.gmem_write_bytes + wr * word, 0.0),
         tags={**spec.tags, f"fold_{side}": len(members)},
-    ).validate()
+    )
 
 
 def _leaf(op: str) -> str:
@@ -685,9 +670,8 @@ def lower_trace(trace: OpTrace, *, params: Any = None, style: str = "pe",
         dep_nodes = sorted({
             ni for d in g.external_deps() for ni in exports.get(d, ())
         })
-        parts, _ = lowerer.atoms(g)
         tails: List[int] = []
-        for chain in parts:
+        for chain in lowerer.atoms(g):
             prev: Optional[int] = None
             for spec in chain:
                 deps = (prev,) if prev is not None else tuple(dep_nodes)

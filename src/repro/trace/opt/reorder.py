@@ -198,7 +198,8 @@ def schedule_search(dag, device=None, *,
     with dependencies re-indexed — ``run_dag`` launches ready nodes in
     index order, so the permutation *is* the schedule.  Each node is
     priced once; every candidate runs the ``run_dag`` event loop over
-    those profiles, and only the winner is built as a
+    those profiles and is scored by its makespan (the latest finish
+    time), and only the winner is built as a
     :class:`~repro.trace.lowering.KernelDag`.  Returns it and the
     per-strategy latencies.
     """
@@ -216,8 +217,10 @@ def schedule_search(dag, device=None, *,
     for strategy in strategies:
         order = candidate_order(strategy, deps, times, out_bytes)
         new_deps = _reindexed_deps(deps, order)
-        elapsed = run_profiled_dag([profiles[i] for i in order], new_deps,
-                                   dev).elapsed_us
+        _, starts = run_profiled_dag([profiles[i] for i in order],
+                                     new_deps, dev)
+        elapsed = max((start + times[i] for start, i in zip(starts, order)),
+                      default=0.0)
         scores[strategy] = elapsed
         if best is None or elapsed < best[0]:
             best = (elapsed, order, new_deps)

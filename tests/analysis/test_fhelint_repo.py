@@ -37,7 +37,7 @@ def test_json_report_shape():
     assert report["tool"] == "fhelint"
     assert report["exit_code"] == 0
     assert report["active"] == 0
-    assert set(report["counts"]) >= {"B-LAZY", "B-RED", "A-VIEW", "K-VAL"}
+    assert set(report["counts"]) >= {"B-LAZY", "B-RED", "A-VIEW"}
 
 
 def test_reproduce_summary_folds_artifact(tmp_path):

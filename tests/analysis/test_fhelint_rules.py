@@ -322,31 +322,6 @@ class TestAliasRules:
         assert "A-FROZEN" not in active_rules(result)
 
 
-# -- K-xxx: kernel descriptors ------------------------------------------------
-
-
-class TestKernelRules:
-    def test_unvalidated_kernelspec_flags(self, tmp_path):
-        result = lint_source(tmp_path, """
-            from repro.gpusim import KernelSpec
-
-            def lower():
-                return KernelSpec(name="ntt", blocks=64, warps_per_block=8)
-            """)
-        assert "K-VAL" in active_rules(result)
-
-    def test_validated_kernelspec_clean(self, tmp_path):
-        result = lint_source(tmp_path, """
-            from repro.gpusim import KernelSpec
-
-            def lower():
-                return KernelSpec(
-                    name="ntt", blocks=64, warps_per_block=8
-                ).validate()
-            """)
-        assert "K-VAL" not in active_rules(result)
-
-
 # -- suppression mechanics ----------------------------------------------------
 
 

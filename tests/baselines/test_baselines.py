@@ -68,13 +68,13 @@ class TestTensorFheNtt:
         """A stage reads the previous stage's output: no launch may start
         before every launch of the stage before it has ended."""
         entries = TensorFheNtt(n).simulate(batch, streams=streams).entries
-        stages = sorted({e.profile.spec.tags["stage"] for e in entries})
+        stages = sorted({e.spec.tags["stage"] for e in entries})
         end_of = {}
         for e in entries:
-            stage = e.profile.spec.tags["stage"]
+            stage = e.spec.tags["stage"]
             end_of[stage] = max(end_of.get(stage, 0.0), e.end_us)
         for e in entries:
-            k = stages.index(e.profile.spec.tags["stage"])
+            k = stages.index(e.spec.tags["stage"])
             if k:
                 assert e.start_us >= end_of[stages[k - 1]], e.name
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgv import BgvContext, BgvParams
-from repro.numtheory.rns import RNSBasis, mod_down_exact_t
+from repro.numtheory.rns import RNSBasis
+from tests.oracles import mod_down_exact_t
 
 
 @pytest.fixture(scope="module")

@@ -28,8 +28,8 @@ from repro.ntt.stacked import (
     stacked_negacyclic_ntt,
 )
 from repro.numtheory import RNSBasis, find_ntt_primes, modinv
-from repro.numtheory.rns import mod_down, mod_down_exact_t
-from tests.oracles import keyswitch_looped
+from repro.numtheory.rns import mod_down
+from tests.oracles import keyswitch_looped, mod_down_exact_t
 
 N = 32
 NUM_MAIN = 4

@@ -15,12 +15,15 @@ from repro.gpusim import (
 DEV = A100_PCIE_80G
 
 
-def dag(*names):
+def dag(*ops):
+    """Independent kernels, one per ``int32_ops`` count: equal counts
+    are one cost shape and share a memo entry."""
     return [
-        DagKernel(spec=KernelSpec(name=n, blocks=512, warps_per_block=8,
-                                  int32_ops=1e6, gmem_read_bytes=1e5),
+        DagKernel(spec=KernelSpec(name=f"k{i}", blocks=512,
+                                  warps_per_block=8, int32_ops=op,
+                                  gmem_read_bytes=1e5),
                   deps=())
-        for n in names
+        for i, op in enumerate(ops)
     ]
 
 
@@ -31,7 +34,7 @@ def cold_memo():
 
 class TestResetCacheStats:
     def test_reset_zeroes_every_counter(self):
-        run_dag(dag("warm", "warm"), DEV)
+        run_dag(dag(1e6, 1e6), DEV)
         assert profile_cache_stats()["runs"] > 0
         reset_cache_stats()
         stats = profile_cache_stats()
@@ -39,20 +42,20 @@ class TestResetCacheStats:
 
     def test_counters_accumulate_after_reset(self):
         reset_cache_stats()
-        run_dag(dag("a", "a"), DEV)
+        run_dag(dag(1e6, 1e6), DEV)
         stats = profile_cache_stats()
         assert stats["runs"] == 1
-        assert stats["hits"] == 1  # second "a" reuses the first profile
+        assert stats["hits"] == 1  # the second kernel reuses the first
         assert stats["misses"] == 1
 
 
 class TestCacheStatsScope:
     def test_scope_isolates_block_counters(self):
         reset_cache_stats()
-        run_dag(dag("outer"), DEV)
+        run_dag(dag(1e6), DEV)
         before = profile_cache_stats()
         with cache_stats_scope() as scope:
-            run_dag(dag("inner", "inner"), DEV)
+            run_dag(dag(2e6, 2e6), DEV)
         assert scope.stats["runs"] == 1
         assert scope.stats["hits"] == 1
         after = profile_cache_stats()

@@ -1,6 +1,7 @@
 """The process-wide kernel-profile memo (``engine.profile_kernel``).
 
-Its key must spell out every field a profile depends on, a device
+Its key must spell out every cost field a profile depends on and leave
+out the labels (``name``, ``tags``), which stay on the launch; a device
 override must get its own entries, eviction at the bound must not change
 a result, and a shared profile must be immutable.
 """
@@ -11,21 +12,24 @@ import pytest
 
 from repro.gpusim import (
     A100_PCIE_80G,
+    DagKernel,
     KernelSpec,
     StallReason,
     profile_cache_stats,
     profile_kernel,
     reset_cache_stats,
+    run_dag,
     run_serial,
     simulate_kernel,
     spec_cache_key,
+    to_chrome_trace,
 )
 from repro.gpusim import engine
 
 DEV = A100_PCIE_80G
 
-#: Every field set to a non-default, non-zero value, so halving a float,
-#: bumping an int or suffixing a string yields a different, valid spec.
+#: Every field set to a non-default, non-zero value, so halving a float
+#: or bumping an int yields a different, valid spec.
 BASE = KernelSpec(
     name="memo", blocks=256, warps_per_block=8, int32_ops=4e6,
     tensor_macs=2e6, gmem_read_bytes=3e5, gmem_write_bytes=2e5,
@@ -35,19 +39,26 @@ BASE = KernelSpec(
 )
 
 
+#: The labels a launch carries beside its cost.
+LABELS = ("name", "tags")
+
+
 def perturbed_specs():
-    """``(label, spec)`` pairs, each differing from BASE in one place."""
+    """``(field, spec)`` pairs, each differing from BASE in one cost
+    field."""
     for f in dataclasses.fields(KernelSpec):
-        value = getattr(BASE, f.name)
-        if isinstance(value, dict):
+        if f.name in LABELS:
             continue
-        if isinstance(value, str):
-            new = value + "_"
-        elif isinstance(value, int):
-            new = value + 1
-        else:
-            new = value * 0.5
+        value = getattr(BASE, f.name)
+        new = value + 1 if isinstance(value, int) else value * 0.5
         yield f.name, dataclasses.replace(BASE, **{f.name: new})
+
+
+def relabelled_specs():
+    """``(label, spec)`` pairs, each differing from BASE only in its
+    name or in one tag."""
+    yield "name", dataclasses.replace(BASE, name=BASE.name + "_")
+    yield "tags emptied", dataclasses.replace(BASE, tags={})
     for name, tag in BASE.tags.items():
         rest = {k: v for k, v in BASE.tags.items() if k != name}
         yield (f"tags[{name}] value",
@@ -60,7 +71,7 @@ def same_profile(a, b):
     return (a.elapsed_us == b.elapsed_us and a.exec_cycles == b.exec_cycles
             and a.bound_by == b.bound_by and a.occupancy == b.occupancy
             and a.resource_cycles == b.resource_cycles
-            and a.stalls.cycles == b.stalls.cycles and a.spec == b.spec
+            and a.stalls.cycles == b.stalls.cycles
             and a.device == b.device)
 
 
@@ -70,14 +81,19 @@ def cold_memo():
 
 
 class TestMemoKey:
-    def test_every_field_and_entry_changes_the_key(self):
-        labels = [label for label, _ in perturbed_specs()]
-        # Every dataclass field is covered, dict fields entry by entry.
-        assert {label.split("[")[0] for label in labels} == {
+    def test_every_cost_field_changes_the_key_and_labels_do_not(self):
+        # Every dataclass field is covered: cost fields one by one, the
+        # name and tags (entry by entry) as labels.
+        costs = [label for label, _ in perturbed_specs()]
+        labels = {label.split("[")[0].split()[0]
+                  for label, _ in relabelled_specs()}
+        assert set(costs) | labels == {
             f.name for f in dataclasses.fields(KernelSpec)}
         base_key = spec_cache_key(BASE)
         for label, spec in perturbed_specs():
             assert spec_cache_key(spec) != base_key, label
+        for label, spec in relabelled_specs():
+            assert spec_cache_key(spec) == base_key, label
 
     def test_perturbed_specs_get_their_own_profiles(self):
         profile_kernel(BASE, DEV)
@@ -85,7 +101,28 @@ class TestMemoKey:
             before = profile_cache_stats()["misses"]
             prof = profile_kernel(spec, DEV)
             assert profile_cache_stats()["misses"] == before + 1, label
-            assert prof.spec == spec, label
+            assert same_profile(prof, simulate_kernel(spec, DEV)), label
+
+    def test_relabelled_specs_share_one_entry_and_keep_their_labels(self):
+        fused = dataclasses.replace(
+            BASE, name="fused", tags={"fused": "3", "fold_pre": "1"})
+        folded = dataclasses.replace(BASE, name="folded",
+                                     tags={"fold_post": "2"})
+        assert profile_kernel(fused, DEV) is profile_kernel(folded, DEV)
+        stats = profile_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["currsize"]) == (
+            1, 1, 1)
+        result = run_dag([DagKernel(fused), DagKernel(folded, (0,))], DEV)
+        assert [e.name for e in result.entries] == ["fused", "folded"]
+        assert [e.spec for e in result.entries] == [fused, folded]
+        slices = [ev for ev in to_chrome_trace(result)["traceEvents"]
+                  if ev["ph"] == "X"]
+        assert [ev["name"] for ev in slices] == ["fused", "folded"]
+        provenance = [{k: ev["args"][k] for k in ev["args"]
+                       if k in ("fused", "fold_pre", "fold_post")}
+                      for ev in slices]
+        assert provenance == [{"fused": "3", "fold_pre": "1"},
+                              {"fold_post": "2"}]
 
     def test_equal_specs_share_one_profile(self):
         first = profile_kernel(BASE, DEV)
@@ -120,7 +157,8 @@ class TestMemoBound:
 
     def test_least_recently_used_entry_goes_first(self, monkeypatch):
         monkeypatch.setattr(engine, "PROFILE_MEMO_SIZE", 3)
-        a, b, c, d = (dataclasses.replace(BASE, name=n) for n in "abcd")
+        a, b, c, d = (dataclasses.replace(BASE, blocks=blocks)
+                      for blocks in (1, 2, 3, 4))
         for spec in (a, b, c, a, d):  # touching a leaves b the oldest
             profile_kernel(spec, DEV)
         misses = profile_cache_stats()["misses"]

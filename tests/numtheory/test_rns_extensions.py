@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.numtheory import CRTReconstructor, find_ntt_primes
-from repro.numtheory.rns import (
-    RNSBasis,
-    extend_basis_signed,
-    mod_down_exact_t,
-)
+from repro.numtheory.rns import RNSBasis, extend_basis_signed
+from tests.oracles import mod_down_exact_t
 
 PRIMES = find_ntt_primes(6, 28, 512)
 SOURCE = RNSBasis(PRIMES[:3])

@@ -16,8 +16,8 @@ from repro.numtheory.rns import (
     extend_basis,
     extend_basis_stacked,
     mod_down,
-    mod_down_exact_t,
 )
+from tests.oracles import mod_down_exact_t
 
 N = 64
 

@@ -32,7 +32,9 @@ from .radix2 import (
     negacyclic_intt,
     negacyclic_ntt,
 )
+from .rns import mod_down_exact_t
 from .schedule import (
+    dag_lanes_in_loop,
     dag_windows_full_scan,
     greedy_topo_order_min_scan,
     kahn_min_scan,
@@ -46,6 +48,7 @@ __all__ = [
     "apply_automorphism",
     "cyclic_convolution",
     "cyclic_ntt",
+    "dag_lanes_in_loop",
     "dag_windows_full_scan",
     "get_reducer",
     "greedy_topo_order_min_scan",
@@ -53,6 +56,7 @@ __all__ = [
     "kahn_min_scan",
     "keyswitch_looped",
     "linear_transform_looped",
+    "mod_down_exact_t",
     "mont_tables",
     "negacyclic_convolution",
     "negacyclic_intt",

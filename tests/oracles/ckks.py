@@ -32,12 +32,9 @@ from repro.ckks.ks_common import (
 from repro.ckks.linear_transform import LinearTransform
 from repro.ckks.ops import Evaluator
 from repro.ckks.poly import COEFF, EVAL, RnsPoly
-from repro.numtheory.rns import (
-    RNSBasis,
-    extend_basis,
-    mod_down,
-    mod_down_exact_t,
-)
+from repro.numtheory.rns import RNSBasis, extend_basis, mod_down
+
+from .rns import mod_down_exact_t
 
 
 def _select_level_rows(key_poly: RnsPoly, num_level: int,

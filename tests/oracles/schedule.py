@@ -14,7 +14,11 @@ counterpart in :mod:`repro.trace.opt.reorder`:
   it just placed (:func:`~repro.trace.opt.reorder._greedy_topo_order`);
 * :func:`dag_windows_full_scan` — the ``run_dag`` event loop that pops
   and re-pushes every blocked ready node at every event
-  (:func:`~repro.gpusim.streams.run_profiled_dag`).
+  (:func:`~repro.gpusim.streams.run_profiled_dag`);
+* :func:`dag_lanes_in_loop` — the ``run_dag`` display lanes assigned
+  inside the event loop, at each launch, as the loop did before it
+  returned only start times (:func:`~repro.gpusim.streams.run_dag` now
+  assigns them afterwards, in launch order).
 """
 
 from __future__ import annotations
@@ -171,3 +175,59 @@ def dag_windows_full_scan(latency: Sequence[float], sms: Sequence[int],
                 if indegree[c] == 0:
                     heapq.heappush(ready, c)
     return windows
+
+
+def dag_lanes_in_loop(latency: Sequence[float], sms: Sequence[int],
+                      deps: Sequence[Sequence[int]], sm_count: int,
+                      ) -> List[int]:
+    """Display lane per node: the event loop frees every lane whose
+    kernel ended by the current event, then each launch takes the lowest
+    free lane (or opens a new one)."""
+    n = len(deps)
+    children: List[List[int]] = [[] for _ in range(n)]
+    for i, ds in enumerate(deps):
+        for d in ds:
+            children[d].append(i)
+    indegree = [len(ds) for ds in deps]
+    lanes = [0] * n
+    ready = [i for i in range(n) if indegree[i] == 0]
+    heapq.heapify(ready)
+    running: List[Tuple[float, int]] = []
+    free_lanes: List[int] = []
+    busy_lanes: List[Tuple[float, int]] = []
+    num_lanes = 0
+    busy = 0
+    now = 0.0
+    while ready or running:
+        while busy_lanes and busy_lanes[0][0] <= now:
+            _, lane = heapq.heappop(busy_lanes)
+            heapq.heappush(free_lanes, lane)
+        deferred = []
+        while ready and busy < sm_count:
+            i = heapq.heappop(ready)
+            if sm_count - busy < sms[i]:
+                deferred.append(i)
+                continue
+            end = now + latency[i]
+            if free_lanes:
+                lane = heapq.heappop(free_lanes)
+            else:
+                lane = num_lanes
+                num_lanes += 1
+            heapq.heappush(busy_lanes, (end, lane))
+            heapq.heappush(running, (end, i))
+            busy += sms[i]
+            lanes[i] = lane
+        for i in deferred:
+            heapq.heappush(ready, i)
+        if not running:
+            break
+        now = running[0][0]
+        while running and running[0][0] <= now:
+            _, i = heapq.heappop(running)
+            busy -= sms[i]
+            for c in children[i]:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    heapq.heappush(ready, c)
+    return lanes

@@ -7,7 +7,8 @@ On each one the heap orders of :func:`candidate_order` and the pool
 reorder must equal the quadratic references in
 :mod:`tests.oracles.schedule`, and ``run_dag``, dagcheck's
 ``predicted_schedule`` and the full-scan reference loop must give the
-same windows.
+same windows, and ``run_dag``'s display lanes must equal the lanes the
+event loop assigned in-loop before it returned only start times.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.trace.opt.reorder import (
     schedule_search,
 )
 from tests.oracles import (
+    dag_lanes_in_loop,
     dag_windows_full_scan,
     greedy_topo_order_min_scan,
     schedule_orders_min_scan,
@@ -101,10 +103,13 @@ def test_run_dag_windows_equal_predicted_and_full_scan(dag):
     windows = [got[i] for i in range(dag.kernel_count)]
     assert windows == predicted_schedule(dag, DEV)
     profiles = [profile_kernel(nd.spec, DEV) for nd in dag.nodes]
-    assert windows == dag_windows_full_scan(
-        [p.elapsed_us for p in profiles],
-        [p.occupancy.sm_used for p in profiles],
-        [nd.deps for nd in dag.nodes], SM)
+    loop_args = ([p.elapsed_us for p in profiles],
+                 [p.occupancy.sm_used for p in profiles],
+                 [nd.deps for nd in dag.nodes], SM)
+    assert windows == dag_windows_full_scan(*loop_args)
+    lanes = {e.index: e.stream for e in result.entries}
+    assert ([lanes[i] for i in range(dag.kernel_count)]
+            == dag_lanes_in_loop(*loop_args))
 
 
 _KINDS = ("ntt", "modadd", "modmul", "automorphism")
