@@ -25,7 +25,7 @@ from ..ntt.stacked import (
     stacked_negacyclic_intt,
     stacked_negacyclic_ntt,
 )
-from ..ntt.tables import TABLE_CACHE_SIZE
+from ..ntt.tables import TABLE_CACHE_SIZE, lru_cache_stats
 from ..numtheory.barrett import BatchBarrettReducer
 from ..numtheory.rns import RNSBasis, divide_by_special, mod_down_delta
 from .keys import KeySwitchKey
@@ -186,10 +186,4 @@ def eval_automorphism_table(exponent: int, n: int) -> np.ndarray:
 
 def eval_automorphism_cache_stats() -> dict:
     """Hit/miss counters of the eval-domain automorphism table cache."""
-    info = eval_automorphism_table.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }
+    return lru_cache_stats(eval_automorphism_table)

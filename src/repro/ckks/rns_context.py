@@ -21,7 +21,7 @@ import numpy as np
 
 from ..analysis.annotations import bounded
 from ..ntt.stacked import get_shoup_stack
-from ..ntt.tables import TABLE_CACHE_SIZE
+from ..ntt.tables import TABLE_CACHE_SIZE, lru_cache_stats
 from ..numtheory import BatchBarrettReducer
 
 
@@ -57,13 +57,7 @@ def get_rns_context(moduli: Tuple[int, ...], n: int) -> RnsContext:
 
 def rns_context_cache_stats() -> dict:
     """Hit/miss counters of the context cache."""
-    info = get_rns_context.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }
+    return lru_cache_stats(get_rns_context)
 
 
 def all_cache_stats() -> dict:

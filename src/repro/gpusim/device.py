@@ -15,7 +15,7 @@ MI100 entries model the platforms of the 100x and GME baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,15 @@ class GpuSpec:
     def with_overrides(self, **kwargs) -> "GpuSpec":
         """A copy with selected fields replaced (for sensitivity studies)."""
         return replace(self, **kwargs)
+
+    def __post_init__(self):
+        # Every profile-memo lookup hashes its device: hash once. Numbers
+        # only (no name), so a pickled copy's hash holds in any process.
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self) if f.name != "name")))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 #: NVIDIA A100-PCIE-80G — WarpDrive's evaluation platform (Table V).

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..analysis.annotations import bounded, coeff_form, eval_form, takes_form
 from ..backend import active_backend
-from .tables import TABLE_CACHE_SIZE, get_tables
+from .tables import TABLE_CACHE_SIZE, get_tables, lru_cache_stats
 
 _U32 = np.uint64(32)
 
@@ -222,10 +222,4 @@ def stacked_negacyclic_intt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
 
 def shoup_stack_cache_stats() -> dict:
     """Hit/miss counters of the stacked-kernel table cache."""
-    info = get_shoup_stack.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }
+    return lru_cache_stats(get_shoup_stack)

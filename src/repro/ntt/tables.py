@@ -119,16 +119,15 @@ def get_tables(modulus: int, n: int) -> NttTables:
     return NttTables(modulus, n)
 
 
+def lru_cache_stats(cached) -> dict:
+    """``hits``/``misses``/``maxsize``/``currsize`` of an ``lru_cache``."""
+    return cached.cache_info()._asdict()
+
+
 def table_cache_stats() -> dict:
     """Hit/miss counters of the twiddle-table cache.
 
     ``misses`` counts table constructions; an operation that runs without
     increasing it performed zero mid-op recomputation (regression-tested).
     """
-    info = get_tables.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }
+    return lru_cache_stats(get_tables)

@@ -3,23 +3,15 @@
 Covers the per-op plans of :class:`OperationScheduler` and
 :class:`HundredXOps`, the five :class:`WarpDriveNtt` variants, the
 single-stream :class:`TensorFheNtt` and TensorFHE's batched HMULT. Per
-plan the golden file holds ``elapsed_us`` and a digest of the timeline
-``(name, start_us, end_us, stream)``. Floats go through ``repr``, so a
-digest moves on any change in the last bit. Launch-graph bookkeeping
+plan the golden file holds ``elapsed_us`` and the timeline columns
+``name``/``start_us``/``end_us``/``stream``. Launch-graph bookkeeping
 (``index``/``deps``) is left out: it describes how a plan was scheduled,
 not what it costs.
-
-Regenerate the goldens (only when a pricing change is intended) with::
-
-    PYTHONPATH=src python tests/gpusim/test_golden_plans.py --regen
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -28,22 +20,18 @@ from repro.baselines import HundredXOps, TensorFheNtt, TensorFheOps
 from repro.ckks import ParameterSets
 from repro.core import OperationScheduler, WarpDriveNtt
 from repro.core.ntt_engine import VARIANTS
+from tests.golden import Golden, columns
 
-GOLDEN = Path(__file__).with_name("golden_plans.json")
 SETS = ("SET-A", "SET-C", "SET-D", "SET-E", "Boot")
 OPS = ("hadd", "pmult", "hmult", "hrotate", "rescale", "keyswitch")
 LEVELS = ("top", 1)
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
 def _row(result) -> dict:
     return {
         "elapsed_us": result.elapsed_us,
-        "timeline": _digest([(e.name, e.start_us, e.end_us, e.stream)
-                             for e in result.entries]),
+        "timeline": columns(result.entries, "name", "start_us", "end_us",
+                            "stream"),
     }
 
 
@@ -95,29 +83,19 @@ def _compute():
     return rows
 
 
+GOLDEN = Golden(Path(__file__).with_name("golden_plans.json"), _compute)
+
+
 @pytest.fixture(scope="module")
 def computed():
     return _compute()
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-def test_golden_covers_every_plan(golden):
+def test_golden_covers_every_plan():
     assert len(KEYS) == len(set(KEYS)) == 229
-    assert sorted(golden) == sorted(KEYS + (TF_HMULT,))
+    assert GOLDEN.cases() == sorted(KEYS + (TF_HMULT,))
 
 
 @pytest.mark.parametrize("key", KEYS + (TF_HMULT,))
-def test_plan_matches_golden(computed, golden, key):
-    assert computed[key] == golden[key]
-
-
-if __name__ == "__main__":
-    if "--regen" not in sys.argv[1:]:
-        sys.exit("usage: test_golden_plans.py --regen")
-    GOLDEN.write_text(json.dumps(_compute(), indent=1, sort_keys=True)
-                      + "\n")
-    print(f"wrote {GOLDEN}")
+def test_plan_matches_golden(computed, key):
+    GOLDEN.check(key, computed[key])

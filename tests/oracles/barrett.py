@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.analysis.annotations import bounded
-from repro.ntt.tables import TABLE_CACHE_SIZE
+from repro.ntt.tables import TABLE_CACHE_SIZE, lru_cache_stats
 from repro.numtheory.barrett import _REDUCE_INPUT
 
 _SHIFT = 62
@@ -120,10 +120,4 @@ def get_reducer(modulus: int) -> BarrettReducer:
 
 def reducer_cache_stats() -> dict:
     """Hit/miss counters of the per-modulus reducer cache."""
-    info = get_reducer.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }
+    return lru_cache_stats(get_reducer)
